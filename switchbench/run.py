@@ -3,7 +3,7 @@
 
 Run from the root of a checkout of the repository:
 
-    python3 switchbench/run.py --workload paper_static --seed 1 --seconds 36 --trace 0
+    python3 switchbench/run.py --workload churn_zap --seed 1 --seconds 50 --trace 0
     python3 switchbench/run.py --self-test
     python3 switchbench/run.py --workload scale_sharded --seed 1 --capture
 
@@ -59,7 +59,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, default="paper_static")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=36)
+    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true",
                         help="build and run only the benchmark's self-tests")

@@ -45,9 +45,23 @@ def main():
             [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload", args.workload,
              "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace)],
             cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        result = json.loads(done.stdout.strip().splitlines()[-1])
+        lines = done.stdout.strip().splitlines()
+        result = json.loads(lines[-1])
+        # "# rep" lines: raw host seconds (the first run_s) and the host
+        # probes, per repetition.
+        reps = []
+        for line in lines:
+            if line.startswith("# rep"):
+                fields = {}
+                for key, _, value in (f.partition("=") for f in line.split() if "=" in f):
+                    fields.setdefault(key, value)
+                reps.append(fields)
+        host = " ".join(
+            f"{key} {statistics.median(float(r[key]) for r in reps):.4g}"
+            for key in ("run_s", "slice_s", "load_ns") if reps and all(key in r for r in reps))
         print(f"seed {seed}: exit {done.returncode} correct {result['correct']} "
-              f"attempted {result['attempted']} failed {result['failed']}", flush=True)
+              f"attempted {result['attempted']} failed {result['failed']} "
+              f"repetitions {len(reps)}; medians: host {host}", flush=True)
         for name, metric in result["metrics"].items():
             values.setdefault(name, []).append(metric["value"])
 

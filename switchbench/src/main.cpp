@@ -1,9 +1,11 @@
 // switchbench: the repository benchmark program.
 //
-//   switchbench --workload paper_static --seed 1 --seconds 30 --trace 0
+//   switchbench --workload churn_zap --seed 1 --seconds 50 --trace 0
 //
 // Repeats one workload for --seconds (at least once), checks the outputs
-// and prints every metric by name and unit, then one JSON line.  --trace 0
+// and prints every metric by name and unit, then one JSON line.  Host
+// times are reported at the nominal host speed (calibrate.hpp), with the
+// raw host seconds on the "# rep" lines.  --trace 0
 // reports the end-to-end metrics of untraced repetitions; --trace 1
 // alternates untraced and traced repetitions and reports the per-layer
 // metrics, writing the spans to --trace-out as Chrome trace-event JSON.
@@ -67,6 +69,24 @@ double max_engines(const Repetition& rep, const std::function<double(const Engin
   return best;
 }
 
+/// One field of every engine of a repetition.
+std::vector<double> engine_values(const Repetition& rep, double EngineRun::*field) {
+  std::vector<double> values;
+  for (const EngineRun& e : rep.engines) values.push_back(e.*field);
+  return values;
+}
+
+/// Median of per-repetition host-probe values pooled over all repetitions.
+double host_median(const std::vector<Repetition>& reps,
+                   const std::function<std::vector<double>(const Repetition&)>& values) {
+  std::vector<double> pooled;
+  for (const Repetition& rep : reps) {
+    const std::vector<double> v = values(rep);
+    pooled.insert(pooled.end(), v.begin(), v.end());
+  }
+  return pooled.empty() ? 0.0 : median(pooled);
+}
+
 std::optional<double> mean(const std::vector<double>& values) {
   double sum = 0.0;
   for (const double v : values) sum += v;
@@ -79,20 +99,38 @@ std::string base_text(const char* what, double value) {
   return text;
 }
 
+/// Tracked peers' switches of one repetition: the benchmark's operations.
+std::uint64_t tracked_switches(const Repetition& rep) {
+  std::uint64_t tracked = 0;
+  for (const EngineRun& e : rep.engines) {
+    for (const gs::stream::SwitchMetrics& m : e.switches) tracked += m.tracked;
+  }
+  return tracked;
+}
+
 /// Output checks on one repetition; every failure appends a message.
-void check_repetition(const WorkloadSpec& spec, const Repetition& rep,
-                      std::vector<std::string>& failures) {
+/// Returns the tracked switches whose outputs failed a check: those of a
+/// failed switch, or every one of an engine that failed an engine check.
+std::uint64_t check_repetition(const WorkloadSpec& spec, const Repetition& rep,
+                               std::vector<std::string>& failures) {
   const auto fail = [&failures](const std::string& what) { failures.push_back(what); };
+  std::uint64_t failed = 0;
   for (std::size_t e = 0; e < rep.engines.size(); ++e) {
     const EngineRun& run = rep.engines[e];
     const std::string where = "engine " + std::to_string(e);
+    const std::size_t engine_failures = failures.size();
+    std::uint64_t engine_tracked = 0;
+    std::uint64_t switch_failed = 0;
     if (run.run_s <= 0.0) fail(where + ": the strategy was never called");
     if (run.switches.size() != spec.engines[e].switch_times.size()) {
       fail(where + ": expected " + std::to_string(spec.engines[e].switch_times.size()) +
            " switches, got " + std::to_string(run.switches.size()));
     }
+    const bool run_failed = failures.size() > engine_failures;
     for (const gs::stream::SwitchMetrics& m : run.switches) {
       const std::string sw = where + " switch " + std::to_string(m.switch_index);
+      const std::size_t switch_failures = failures.size();
+      engine_tracked += m.tracked;
       if (m.tracked == 0) fail(sw + ": no tracked peers");
       if (m.prepared_s2 != m.prepared_times.size() || m.finished_s1 != m.finish_times.size()) {
         fail(sw + ": sample counts disagree with completion counts");
@@ -110,7 +148,9 @@ void check_repetition(const WorkloadSpec& spec, const Repetition& rep,
       if (!std::isfinite(m.overhead_ratio) || !(m.overhead_ratio > 0.0)) {
         fail(sw + ": overhead ratio is not a positive number");
       }
+      if (failures.size() > switch_failures) switch_failed += m.tracked;
     }
+    const std::size_t engine_checks = failures.size();
     if (run.stats.requests_issued == 0 || run.stats.segments_delivered == 0) {
       fail(where + ": no data moved");
     }
@@ -124,7 +164,10 @@ void check_repetition(const WorkloadSpec& spec, const Repetition& rep,
     if (config.parallel_shards > 0 && stats.parallel_sweeps == 0) {
       fail(where + ": the sharded pipeline never ran");
     }
+    const bool engine_failed = run_failed || failures.size() > engine_checks;
+    failed += engine_failed ? engine_tracked : switch_failed;
   }
+  return failed;
 }
 
 /// Switch outputs of one algorithm's engines, pooled over their switches.
@@ -161,9 +204,10 @@ std::vector<Metric> end_to_end_metrics(const std::vector<Repetition>& reps,
   const auto n = static_cast<double>(fast.prepared.size());
   const std::string prepared = base_text("prepared switches", n);
   return {
-      {"setup_s", "s", median_of(reps, false, [](const Repetition& r) { return r.setup_s(); }),
+      {"setup_s", "s",
+       median_of(reps, false, [](const Repetition& r) { return r.nominal_setup_s(); }), ""},
+      {"run_s", "s", median_of(reps, false, [](const Repetition& r) { return r.nominal_run_s(); }),
        ""},
-      {"run_s", "s", median_of(reps, false, [](const Repetition& r) { return r.run_s(); }), ""},
       {"peak_rss_mb", "MB", static_cast<double>(gs::util::peak_rss_bytes()) / 1e6, ""},
       {"switch_mean_s", "s", mean(fast.prepared), prepared},
       {"switch_p50_s", "s", percentile(fast.prepared, 0.50), prepared},
@@ -290,6 +334,15 @@ std::vector<Metric> per_layer_metrics(const std::vector<Repetition>& reps) {
        max_engines(t, [](const EngineRun& e) { return double(e.stats.peer_state_bytes); }),
        "max over engines"},
       {"mem.arena_chunks", "count", stat(&Stats::arena_chunks), ""},
+      {"host.slice_s", "s",
+       host_median(reps, [](const Repetition& r) { return r.calibration_s; }),
+       "median calibration slice, all repetitions"},
+      {"host.load_ns", "ns",
+       host_median(reps, [](const Repetition& r) { return engine_values(r, &EngineRun::load_ns); }),
+       "median probed load time over engines, all repetitions"},
+      {"host.speed", "ratio",
+       host_median(reps, [](const Repetition& r) { return engine_values(r, &EngineRun::speed); }),
+       "median speed factor over engines, all repetitions"},
       {"trace.run_s", "s", run_s, "median traced run_s"},
       {"trace.overhead_s", "s", run_s - untraced_run_s,
        base_text("untraced run_s", untraced_run_s)},
@@ -300,7 +353,7 @@ int run_main(int argc, char** argv) {
   gs::util::Flags flags;
   flags.define("workload", "paper_static", "paper_static | churn_zap | scale_sharded")
       .define_int("seed", 1, "workload seed (scenario, churn, bandwidths)")
-      .define_int("seconds", 36, "measure for this many host seconds (at least one repetition)")
+      .define_int("seconds", 50, "measure for this many host seconds (at least one repetition)")
       .define_int("trace", 0, "0 = end-to-end metrics, 1 = traced per-layer metrics")
       .define("reference", "", "reference digest file (workload seed digest per line)")
       .define("trace_out", "", "Chrome trace-event JSON written by --trace 1")
@@ -319,7 +372,7 @@ int run_main(int argc, char** argv) {
     return 2;
   }
   if (flags.get_bool("capture")) {
-    const Repetition rep = run_repetition(*spec, nullptr);
+    const Repetition rep = run_repetition(*spec, nullptr, nullptr);
     std::printf("%s %llu %s\n", name.c_str(), static_cast<unsigned long long>(seed),
                 rep.digest.c_str());
     return 0;
@@ -328,18 +381,25 @@ int run_main(int argc, char** argv) {
   // Repeat until the next repetition would overrun the budget; a traced
   // run alternates untraced and traced repetitions and needs one of each.
   Tracer tracer;
+  const LoadProbe probe;
   std::vector<Repetition> reps;
   const Clock::time_point start = Clock::now();
   while (true) {
     const bool traced = trace && reps.size() % 2 == 1;
-    reps.push_back(run_repetition(*spec, traced ? &tracer : nullptr));
+    reps.push_back(run_repetition(*spec, traced ? &tracer : nullptr, &probe));
     const double spent = std::chrono::duration<double>(Clock::now() - start).count();
     const double per_rep = spent / static_cast<double>(reps.size());
     if (reps.size() >= (trace ? 2u : 1u) && spent + per_rep > budget) break;
   }
 
+  // Operations are the first repetition's tracked switches, so both counts
+  // depend only on the seed, not on how many repetitions fit the budget.
+  // Later repetitions must reproduce the first's digest.
   std::vector<std::string> failures;
-  for (const Repetition& rep : reps) check_repetition(*spec, rep, failures);
+  const std::uint64_t attempted = tracked_switches(reps.front());
+  std::uint64_t failed = check_repetition(*spec, reps.front(), failures);
+  for (std::size_t i = 1; i < reps.size(); ++i) check_repetition(*spec, reps[i], failures);
+  const std::size_t output_failures = failures.size();
   for (const Repetition& rep : reps) {
     if (rep.digest != reps.front().digest) {
       failures.push_back("digest " + rep.digest + " differs from the first repetition's " +
@@ -364,8 +424,11 @@ int run_main(int argc, char** argv) {
               name.c_str(), static_cast<unsigned long long>(seed),
               std::thread::hardware_concurrency(), reps.size(), trace ? 1 : 0);
   for (std::size_t i = 0; i < reps.size(); ++i) {
-    std::printf("# rep %zu %s setup_s=%.6f run_s=%.6f digest=%s\n", i,
-                reps[i].traced ? "traced  " : "untraced", reps[i].setup_s(), reps[i].run_s(),
+    std::printf("# rep %zu %s host setup_s=%.6f run_s=%.6f nominal setup_s=%.6f run_s=%.6f "
+                "slice_s=%.6f load_ns=%.1f digest=%s\n",
+                i, reps[i].traced ? "traced  " : "untraced", reps[i].setup_s(), reps[i].run_s(),
+                reps[i].nominal_setup_s(), reps[i].nominal_run_s(),
+                median(reps[i].calibration_s), median(engine_values(reps[i], &EngineRun::load_ns)),
                 reps[i].digest.c_str());
   }
   std::printf("# digest %s reference %s\n", reps.front().digest.c_str(),
@@ -420,16 +483,9 @@ int run_main(int argc, char** argv) {
     }
   }
 
-  std::uint64_t attempted = 0;
-  std::uint64_t failed = 0;
-  for (const Repetition& rep : reps) {
-    for (const EngineRun& e : rep.engines) {
-      for (const gs::stream::SwitchMetrics& m : e.switches) {
-        attempted += m.tracked;
-        failed += m.censored_prepare;
-      }
-    }
-  }
+  // A failure outside the per-repetition checks (digest, reference, an
+  // undefined or malformed metric) spoils every operation's output.
+  if (failures.size() > output_failures) failed = attempted;
   for (const std::string& f : failures) std::printf("# CHECK FAILED: %s\n", f.c_str());
   std::printf("%s\n", json_line(failures.empty(), attempted, failed, reported).c_str());
   std::fflush(stdout);

@@ -1,6 +1,7 @@
-// Self-tests for the benchmark's own arithmetic (report.hpp): the
-// percentile sample rule, the metric-name and unit charsets, digest
-// stability and n/a handling.  Exit status 0 when every check holds.
+// Self-tests for the benchmark's own arithmetic (report.hpp,
+// calibrate.hpp): the percentile sample rule, the metric-name and unit
+// charsets, digest stability, n/a handling and the host-speed factor.
+// Exit status 0 when every check holds.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "calibrate.hpp"
 #include "report.hpp"
 
 namespace {
@@ -134,6 +136,22 @@ void test_not_available() {
          "json line: n/a goes in as 0");
 }
 
+bool near(double a, double b) { return std::abs(a - b) <= 1e-12 * std::abs(b); }
+
+void test_speed_factor() {
+  using switchbench::kNominalLoadNs;
+  using switchbench::kNominalSliceS;
+  using switchbench::speed_factor;
+  expect(near(speed_factor(kNominalSliceS, kNominalSliceS, kNominalLoadNs), 1.0),
+         "the nominal host has speed 1");
+  expect(near(speed_factor(2 * kNominalSliceS, 2 * kNominalSliceS, 2 * kNominalLoadNs), 0.5),
+         "a host half as fast on both probes has speed 1/2");
+  expect(near(speed_factor(kNominalSliceS, kNominalSliceS, 4 * kNominalLoadNs), 0.5),
+         "the probes combine as a geometric mean");
+  expect(near(speed_factor(0.5 * kNominalSliceS, 1.5 * kNominalSliceS, kNominalLoadNs), 1.0),
+         "the two bracketing slices are averaged");
+}
+
 }  // namespace
 
 int main() {
@@ -141,6 +159,7 @@ int main() {
   test_names();
   test_digest();
   test_not_available();
+  test_speed_factor();
   if (g_failures == 0) std::printf("switchbench selftest: all checks passed\n");
   return g_failures == 0 ? 0 : 1;
 }

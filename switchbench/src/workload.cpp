@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "calibrate.hpp"
 #include "experiments/scenario.hpp"
 #include "report.hpp"
 
@@ -56,13 +57,17 @@ class ProbeStrategy final : public gs::stream::SchedulerStrategy {
     if (!stamped_.load(std::memory_order_acquire)) return std::nullopt;
     return first_;
   }
+  /// Process CPU seconds at the first schedule call (valid with first_call).
+  [[nodiscard]] double first_call_cpu_s() const { return first_cpu_s_; }
 
  private:
   void stamp_first() {
     const Clock::time_point now = Clock::now();
+    const double cpu_s = process_cpu_s();
     std::lock_guard<std::mutex> lock(first_mutex_);
     if (stamped_.load(std::memory_order_relaxed)) return;
     first_ = now;
+    first_cpu_s_ = cpu_s;
     stamped_.store(true, std::memory_order_release);
   }
 
@@ -71,6 +76,7 @@ class ProbeStrategy final : public gs::stream::SchedulerStrategy {
   std::atomic<bool> stamped_{false};
   std::mutex first_mutex_;
   Clock::time_point first_{};  ///< written once under first_mutex_
+  double first_cpu_s_ = 0.0;   ///< written once under first_mutex_
 };
 
 double seconds(Clock::time_point from, Clock::time_point to) {
@@ -98,12 +104,18 @@ std::optional<WorkloadSpec> make_workload(std::string_view name, std::uint64_t s
       config.enable_cdn_assist();
       spec.engines.push_back(config);
     } else if (name == "scale_sharded") {
-      // The sharded pipeline at N = 10^4 on 4 plan lanes.  20 s of
-      // warm-start history covers the stable-phase backlog at this size
-      // (~17 s); the 30 s horizon is a give-up bound, the run ends once
+      // The sharded pipeline at N = 5000 on 3 plan lanes.  20 s of
+      // warm-start history covers the stable-phase backlog (~17 s at
+      // N = 10^4); the 30 s horizon is a give-up bound, the run ends once
       // every peer has finished S1 and prepared S2.
-      Config config = Config::paper_static(10000, AlgorithmKind::kFast, trial_seed);
-      config.enable_parallel_shards(4);
+      //
+      // Lanes wait for each other at every sweep, so one stalled CPU stalls
+      // them all: 3 lanes leave the fourth CPU to the load probe and the
+      // system, and one scenario per repetition keeps repetitions short, so
+      // the median over a run's repetitions outvotes a stalled stretch.
+      if (trial > 0) continue;
+      Config config = Config::paper_static(5000, AlgorithmKind::kFast, trial_seed);
+      config.enable_parallel_shards(3);
       config.engine.tick_shard_size = 256;
       config.engine.history_seconds = 20.0;
       config.engine.horizon = 30.0;
@@ -132,7 +144,20 @@ double Repetition::run_s() const {
   return sum;
 }
 
-Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer) {
+double Repetition::nominal_setup_s() const {
+  double sum = 0.0;
+  for (const EngineRun& e : engines) sum += e.setup_s * e.speed;
+  return sum;
+}
+
+double Repetition::nominal_run_s() const {
+  double sum = 0.0;
+  for (const EngineRun& e : engines) sum += e.run_cpu_s * e.speed;
+  return sum;
+}
+
+Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer,
+                          const LoadProbe* load_probe) {
   Repetition rep;
   rep.traced = tracer != nullptr;
   Digest digest;
@@ -143,10 +168,13 @@ Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer) {
     // process peak RSS does not grow with the number of repetitions.
     malloc_trim(0);
 #endif
+    rep.calibration_s.push_back(calibration_slice());
     EngineRun out;
     const ScheduleTotals before = tracer != nullptr ? tracer->totals() : ScheduleTotals{};
     const std::uint32_t engine_span = tracer != nullptr ? tracer->next_id() : 0;
 
+    const LoadProbe::Mark m_begin =
+        load_probe != nullptr ? load_probe->mark() : LoadProbe::Mark{};
     const Clock::time_point t_begin = Clock::now();
     gs::exp::BuiltScenario scenario = gs::exp::build_scenario(config);
     const Clock::time_point t_scenario = Clock::now();
@@ -159,6 +187,7 @@ Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer) {
                               engine_config, probe);
     engine.set_sources(std::move(scenario.sources), config.switch_times);
     const Clock::time_point t_ctor = Clock::now();
+    const LoadProbe::Mark m_ctor = load_probe != nullptr ? load_probe->mark() : LoadProbe::Mark{};
 
     std::uint32_t run_span = 0;
     if (tracer != nullptr) {
@@ -167,7 +196,14 @@ Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer) {
     }
     out.switches = engine.run();
     const Clock::time_point t_end = Clock::now();
+    const double cpu_end = process_cpu_s();
+    const LoadProbe::Mark m_end = load_probe != nullptr ? load_probe->mark() : LoadProbe::Mark{};
+    if (load_probe != nullptr) out.load_ns = load_probe->mean_load_ns(m_begin, m_end);
     const Clock::time_point t_first = probe->first_call().value_or(t_end);
+    // The probe's own CPU time from construction on (a few ms more than
+    // from the first call) is not the engine's.
+    out.run_cpu_s = (probe->first_call() ? cpu_end - probe->first_call_cpu_s() : 0.0) -
+                    (m_end.cpu_s - m_ctor.cpu_s);
 
     out.scenario_s = seconds(t_begin, t_scenario);
     out.ctor_s = seconds(t_scenario, t_ctor);
@@ -195,6 +231,12 @@ Repetition run_repetition(const WorkloadSpec& spec, Tracer* tracer) {
       tracer->record("first_plan", "stream", t_ctor, t_first, run_span);
     }
     rep.engines.push_back(std::move(out));
+  }
+  rep.calibration_s.push_back(calibration_slice());
+  for (std::size_t e = 0; e < rep.engines.size(); ++e) {
+    EngineRun& run = rep.engines[e];
+    run.speed = speed_factor(rep.calibration_s[e], rep.calibration_s[e + 1],
+                             run.load_ns > 0.0 ? run.load_ns : kNominalLoadNs);
   }
   rep.digest = digest.hex();
   return rep;
