@@ -1,7 +1,6 @@
 // Microbenchmarks of the hot kernels (google-benchmark): rate solver,
 // priority computation, Algorithm 1 greedy, buffer-map codec, stream
-// buffer, event queue — plus the end-to-end engine dispatch benchmark
-// comparing per-peer and batched tick dispatch.
+// buffer, event queue — plus end-to-end engine runs at 10^2..10^6 peers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -194,57 +193,15 @@ BENCHMARK(BM_EventQueuePooledScheduleRun)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-// Engine dispatch cost: a full (trimmed-horizon) switch experiment per
-// iteration, per-peer vs batched tick dispatch.  The two rows of a size are
-// the same seed and produce bit-identical metrics (stream_determinism_test
-// enforces that); only the dispatch mechanism differs, so the wall-clock
-// delta and the events_popped counter isolate the scheduling overhead.
+// Engine cost: a full (trimmed-horizon) switch experiment per iteration on
+// the sequential engine.  events_popped counts the simulator events (one
+// sweep event per tick shard per period plus deliveries),
+// availability_probes the supplier-membership probes of candidate builds
+// and index_updates the availability deltas that replace per-tick
+// neighbour rescans.
 void BM_EngineDispatch(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool batch = state.range(1) != 0;
   std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    gs::exp::Config config =
-        gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(batch);
-    config.engine.horizon = 15.0;        // dispatch cost, not paper metrics
-    config.engine.history_seconds = 30.0;
-    auto engine = gs::exp::make_engine(config);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine->run());
-    events += engine->stats().events_popped;
-    delivered += engine->stats().segments_delivered;
-    ++runs;
-  }
-  state.counters["events_popped"] =
-      benchmark::Counter(static_cast<double>(events) / static_cast<double>(runs));
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-}
-BENCHMARK(BM_EngineDispatch)
-    ->ArgNames({"peers", "batch"})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Candidate-build cost: the same trimmed-horizon experiment with the
-// availability plane rescanning neighbour buffers per tick (incremental=0)
-// vs maintained by deltas (incremental=1).  The two rows of a size are the
-// same seed and produce bit-identical metrics (stream_determinism_test
-// enforces that); availability_probes counts supplier-membership probes
-// during candidate build and index_updates the delta events that replaced
-// the rescans, so the wall-clock delta and the probe drop isolate the
-// scan-work saving.
-void BM_BuildCandidates(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
   std::uint64_t probes = 0;
   std::uint64_t index_updates = 0;
   std::uint64_t delivered = 0;
@@ -253,32 +210,30 @@ void BM_BuildCandidates(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_incremental_availability(incremental);
-    config.engine.horizon = 15.0;        // scan cost, not paper metrics
+    config.engine.horizon = 15.0;        // engine cost, not paper metrics
     config.engine.history_seconds = 30.0;
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
+    events += engine->stats().events_popped;
     probes += engine->stats().availability_probes;
     index_updates += engine->stats().index_updates;
     delivered += engine->stats().segments_delivered;
     ++runs;
   }
-  state.counters["availability_probes"] =
-      benchmark::Counter(static_cast<double>(probes) / static_cast<double>(runs));
-  state.counters["index_updates"] =
-      benchmark::Counter(static_cast<double>(index_updates) / static_cast<double>(runs));
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
+  const auto per_run = [runs](std::uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total) / static_cast<double>(runs));
+  };
+  state.counters["events_popped"] = per_run(events);
+  state.counters["availability_probes"] = per_run(probes);
+  state.counters["index_updates"] = per_run(index_updates);
+  state.counters["delivered"] = per_run(delivered);
 }
-BENCHMARK(BM_BuildCandidates)
-    ->ArgNames({"peers", "incremental"})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
+BENCHMARK(BM_EngineDispatch)
+    ->ArgNames({"peers"})
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // Sharded-core scaling: the same trimmed-horizon experiment sequential
@@ -302,8 +257,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -358,8 +311,6 @@ void BM_DeliveryDrain(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -414,10 +365,6 @@ void BM_PlanGate(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
-    config.enable_peer_pool(true);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // plan cost, not paper metrics
@@ -453,9 +400,7 @@ BENCHMARK(BM_PlanGate)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// Whole-pipeline throughput: batched dispatch + incremental windowed
-// availability + the memory plane, sequential vs the sharded core, at
-// N=100000.  This is the "everything on" configuration the scale runs use;
+// Whole-pipeline throughput, sequential vs the sharded core, at N=100000;
 // the memory counters come from the engine's end-of-run telemetry.  Emit
 // BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_FullPipeline
@@ -484,12 +429,8 @@ void BM_FullPipeline(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
     config.enable_parallel_shards(shards);
     config.enable_parallel_commit(commit);
-    config.enable_peer_pool(true);
     config.enable_timing_wheel(wheel);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
@@ -551,25 +492,22 @@ BENCHMARK(BM_FullPipeline)
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
-// N=10^6, legacy containers (pool=0) vs the memory plane (pool=1), plus a
-// gate=0 row isolating the plan work-set plane (quiescence gate +
-// neighbour-major candidate build) on the pooled configuration — at this
-// scale neighbour presence bitsets are cache-cold, so the pooled
-// gate-on/gate-off pair is the headline plan-phase speedup.  The
-// point of the pool axis is the footprint, not the wall clock:
-// bytes_per_peer comes from the
-// engine's container accounting and peak_rss_mb from the process high-water
-// mark (cumulative across rows by nature — run one filter per process for
-// clean RSS numbers).  Fixed-seed metrics are bit-identical across the two
-// rows (stream_determinism_test enforces the flag's purity).  Emit
+// N=10^6, with a wheel=0 row (binary-heap event plane) and a gate=0 row
+// isolating the plan work-set plane (quiescence gate + neighbour-major
+// candidate build) — at this scale neighbour presence bitsets are
+// cache-cold, so the gate-on/gate-off pair is the headline plan-phase
+// speedup.  bytes_per_peer comes from the engine's container accounting
+// and peak_rss_mb from the process high-water mark (cumulative across rows
+// by nature — run one filter per process for clean RSS numbers).
+// Fixed-seed metrics are bit-identical across the rows
+// (stream_determinism_test enforces both flags' purity).  Emit
 // BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_MillionPeer
 //     --benchmark_out=BENCH_million_peer.json --benchmark_out_format=json
 void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool pool = state.range(1) != 0;
-  const bool wheel = state.range(2) != 0;
-  const bool gate = state.range(3) != 0;
+  const bool wheel = state.range(1) != 0;
+  const bool gate = state.range(2) != 0;
   std::uint64_t delivered = 0;
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
@@ -581,10 +519,6 @@ void BM_MillionPeer(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
-    config.enable_peer_pool(pool);
     config.enable_timing_wheel(wheel);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
@@ -615,11 +549,10 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_MillionPeer)
-    ->ArgNames({"peers", "pool", "wheel", "gate"})
-    ->Args({1000000, 0, 1, 1})
-    ->Args({1000000, 1, 0, 1})
-    ->Args({1000000, 1, 1, 0})
-    ->Args({1000000, 1, 1, 1})
+    ->ArgNames({"peers", "wheel", "gate"})
+    ->Args({1000000, 0, 1})
+    ->Args({1000000, 1, 0})
+    ->Args({1000000, 1, 1})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -4,9 +4,10 @@
 //
 //   ./sweep_cli --sizes 200,1000 --trials 3 --topology ring --churn 0.05
 //   ./sweep_cli --sizes 500 --qs 80 --neighbor 7 --capacity-model per-link --csv out.csv
-//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 8 --incremental-availability
+//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 4
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,6 @@ int main(int argc, char** argv) {
                "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_double("token-bucket-burst", 4.0,
                       "token-bucket burst depth in segments (>= 1)");
-  flags.define_bool("batch-dispatch", false,
-                    "batched tick dispatch (identical metrics, fewer simulator events)");
   flags.define_bool("timing-wheel", true,
                     "timing-wheel event plane (identical metrics, O(1) schedule; "
                     "--timing-wheel=false for the binary-heap baseline)");
@@ -62,23 +61,14 @@ int main(int argc, char** argv) {
                     "plan work-set plane: quiescence gate + neighbour-major "
                     "candidate build (identical metrics, less plan work; "
                     "--plan-gate=false for the pre-gate baseline)");
-  flags.define_bool("plan-gate-legacy", false,
-                    "maintain a gate-only availability index under the legacy "
-                    "rescan scheduler so the plan gate fires there too");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
-  flags.define_bool("incremental-availability", false,
-                    "delta-maintained availability views (identical metrics, less scan work)");
   flags.define_bool("delta-maps", false,
-                    "charge availability gossip as buffer-map deltas (implies "
-                    "--incremental-availability; lowers the overhead metric)");
+                    "charge availability gossip as buffer-map deltas "
+                    "(lowers the overhead metric)");
   flags.define_int("map-refresh", 10, "adverts between full-map refreshes under --delta-maps");
-  flags.define_bool("windowed-availability", false,
-                    "sliding supplier-count windows anchored at the playback cursor "
-                    "(implies --incremental-availability; identical metrics, "
-                    "O(buffer) per-view memory)");
-  flags.define_int("tick-shard", 16, "peers per tick shard (phase group; both dispatch modes)");
+  flags.define_int("tick-shard", 16, "peers per tick shard (stagger phase and sweep group)");
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
@@ -88,10 +78,6 @@ int main(int argc, char** argv) {
   flags.define_bool("sequential-commit", false,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
-  flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/buffer/arrival "
-                    "structures and the plan arena (identical metrics, "
-                    "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -134,20 +120,14 @@ int main(int argc, char** argv) {
   base.priority.traditional_rarity = flags.get_bool("traditional-rarity");
   base.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity-model"));
   base.engine.token_bucket_burst = flags.get_double("token-bucket-burst");
-  base.enable_batch_dispatch(flags.get_bool("batch-dispatch"));
   base.enable_timing_wheel(flags.get_bool("timing-wheel"));
-  base.enable_plan_gate(flags.get_bool("plan-gate"), flags.get_bool("plan-gate-legacy"),
-                        flags.get_bool("plan-gate-recheck"));
-  base.enable_incremental_availability(
-      flags.get_bool("incremental-availability") || flags.get_bool("delta-maps"),
-      flags.get_bool("delta-maps"));
+  base.enable_plan_gate(flags.get_bool("plan-gate"), flags.get_bool("plan-gate-recheck"));
+  base.enable_delta_maps(flags.get_bool("delta-maps"));
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
-  base.enable_windowed_availability(flags.get_bool("windowed-availability"));
   base.engine.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard"));
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
   base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");
   base.enable_parallel_commit(!flags.get_bool("sequential-commit"));
-  base.enable_peer_pool(flags.get_bool("peer-pool"));
   if (flags.get_int("flash-crowd-joins") > 0) {
     base.enable_flash_crowd(static_cast<std::size_t>(flags.get_int("flash-crowd-joins")),
                             flags.get_double("flash-crowd-start"),
@@ -163,6 +143,17 @@ int main(int argc, char** argv) {
   base.engine.cdn_assist_span = static_cast<std::size_t>(flags.get_int("cdn-span"));
 
   const auto sizes = parse_sizes(flags.get("sizes"));
+  // Reject a meaningless configuration with its reason before any run.
+  try {
+    for (const std::size_t n : sizes) {
+      gs::exp::Config config = base;
+      config.node_count = n;
+      config.validate();
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sweep_cli: %s\n", e.what());
+    return 2;
+  }
   const auto points =
       gs::exp::sweep_sizes(base, sizes, static_cast<std::size_t>(flags.get_int("trials")));
 

@@ -72,15 +72,33 @@ void Config::validate() const {
   if (topology == TopologyKind::kTraceFile && trace_path.empty()) {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
-  if (engine.warmup <= 0.0) throw std::invalid_argument("warmup must be positive");
+  // `!(x > 0)` so NaN is rejected too.
+  if (!(engine.warmup > 0.0)) throw std::invalid_argument("warmup must be positive");
+  if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
+  if (!(engine.playback_rate > 0.0)) {
+    throw std::invalid_argument("playback_rate must be positive");
+  }
+  if (!(engine.source_outbound > 0.0)) {
+    throw std::invalid_argument("source_outbound must be positive");
+  }
+  if (!(engine.horizon > 0.0)) throw std::invalid_argument("horizon must be positive");
+  if (engine.q_consecutive == 0) {
+    throw std::invalid_argument("q_consecutive (Q) must be >= 1");
+  }
+  if (engine.q_consecutive > engine.q_startup) {
+    throw std::invalid_argument("q_consecutive (Q) must not exceed q_startup (Qs)");
+  }
+  if (engine.q_startup > engine.buffer_capacity) {
+    throw std::invalid_argument("q_startup (Qs) must not exceed buffer_capacity (B)");
+  }
+  for (const double fraction : {engine.churn_leave_fraction, engine.churn_join_fraction}) {
+    if (!(fraction >= 0.0 && fraction < 1.0)) {
+      throw std::invalid_argument("churn fractions must be in [0, 1)");
+    }
+  }
+  if (engine.push_fanout == 0) throw std::invalid_argument("push_fanout must be >= 1");
   if (engine.tick_shard_size == 0) {
     throw std::invalid_argument("tick_shard_size must be >= 1");
-  }
-  if (engine.delta_maps && !engine.incremental_availability) {
-    throw std::invalid_argument("delta_maps requires incremental_availability");
-  }
-  if (engine.windowed_availability && !engine.incremental_availability) {
-    throw std::invalid_argument("windowed_availability requires incremental_availability");
   }
   if (engine.map_refresh_period == 0) {
     throw std::invalid_argument("map_refresh_period must be >= 1");

@@ -57,11 +57,6 @@ struct Config {
     engine.churn_join_fraction = fraction;
   }
 
-  /// Turns on batched tick dispatch (`--batch-dispatch` in the CLIs).
-  /// Observable behaviour is unchanged — fixed-seed metrics are
-  /// bit-identical either way — only simulator event counts drop.
-  void enable_batch_dispatch(bool on = true) { engine.batch_dispatch = on; }
-
   /// Selects the timing-wheel event plane (`--timing-wheel`; on by
   /// default, pass false for the binary-heap baseline).  Pure mechanism:
   /// pop order is bit-identical on either backend, so fixed-seed metrics
@@ -75,42 +70,22 @@ struct Config {
   /// neighbour-major candidate enumeration.  Pure mechanism: fixed-seed
   /// metrics are bit-identical either way; only plan-phase work and the
   /// gate telemetry (EngineStats::plans_gated/plans_built) change.
-  /// `legacy` additionally maintains a gate-only availability index under
-  /// the legacy rescan scheduler (`--plan-gate-legacy`); `recheck` turns on
-  /// the debug cross-check that re-builds gated plans and asserts
-  /// emptiness (`--plan-gate-recheck`).
-  void enable_plan_gate(bool on = true, bool legacy = false, bool recheck = false) {
+  /// `recheck` turns on the debug cross-check that re-builds gated plans
+  /// and asserts emptiness (`--plan-gate-recheck`).
+  void enable_plan_gate(bool on = true, bool recheck = false) {
     engine.plan_gate = on;
-    engine.plan_gate_legacy = on && legacy;
     engine.plan_gate_recheck = on && recheck;
   }
 
-  /// Turns on the incremental availability plane
-  /// (`--incremental-availability`).  Like batch dispatch this is pure
-  /// mechanism: fixed-seed metrics are bit-identical either way; only the
-  /// candidate-scan work drops.  `delta` additionally charges availability
-  /// gossip as BufferMapDelta exchanges (`--delta-maps`) — an accounting
-  /// change that lowers the overhead-ratio metric by design.
-  void enable_incremental_availability(bool on = true, bool delta = false) {
-    engine.incremental_availability = on;
-    engine.delta_maps = on && delta;
-  }
-
-  /// Turns on windowed availability views (`--windowed-availability`):
-  /// supplier counts keyed on a sliding window anchored at the playback
-  /// cursor, bounding per-view memory at O(buffer_capacity).  Implies the
-  /// incremental availability plane.  Pure mechanism: fixed-seed metrics
-  /// are bit-identical either way.
-  void enable_windowed_availability(bool on = true) {
-    engine.windowed_availability = on;
-    if (on) engine.incremental_availability = true;
-  }
+  /// Charges availability gossip as BufferMapDelta exchanges
+  /// (`--delta-maps`) — an accounting change that lowers the
+  /// overhead-ratio metric by design.
+  void enable_delta_maps(bool on = true) { engine.delta_maps = on; }
 
   /// Turns on the sharded parallel simulation core with `shards` plan
   /// lanes / event-queue shards (`--parallel-shards`; 0 = sequential).
   /// Pure mechanism: fixed-seed metrics are bit-identical at every shard
-  /// count; only wall-clock and the shard diagnostics change.  Implies
-  /// batched dispatch.
+  /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }
 
   /// Disables (or re-enables) the parallel commit + book passes of the
@@ -119,13 +94,6 @@ struct Config {
   /// bit-identical either way; only wall clock and the commit-wave
   /// diagnostics change.
   void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
-
-  /// Turns on the million-peer memory plane (`--peer-pool`): flat
-  /// open-addressed pending maps, ring-backed stream buffers, the bounded
-  /// arrival ring and the per-tick plan arena.  Pure mechanism: fixed-seed
-  /// metrics are bit-identical either way; only bytes/peer and allocation
-  /// traffic change (see EngineStats::bytes_per_peer).
-  void enable_peer_pool(bool on = true) { engine.peer_pool = on; }
 
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
@@ -145,7 +113,8 @@ struct Config {
     engine.flash_crowd_duration = duration;
   }
 
-  /// Throws std::invalid_argument on inconsistent settings.
+  /// Throws std::invalid_argument, naming the field, on any setting the
+  /// engine cannot run meaningfully.
   void validate() const;
 
   /// The paper's static-environment setup at a given scale.

@@ -1,8 +1,10 @@
 #include "stream/availability_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gs::stream {
 
@@ -19,40 +21,49 @@ std::size_t owner_anchor(const PeerNode& p) {
 }  // namespace
 
 void AvailabilityIndex::set_window(std::size_t span_bits) {
-  GS_CHECK(!enabled_) << "set_window must precede build()";
+  GS_CHECK(!built_) << "set_window must precede build()";
   GS_CHECK_GT(span_bits, 0u);
   window_span_ = (span_bits + kWordBits - 1) / kWordBits * kWordBits;
 }
 
-void AvailabilityIndex::set_gate_only() {
-  GS_CHECK(!enabled_) << "set_gate_only must precede build()";
-  gate_only_ = true;
-}
-
 void AvailabilityIndex::enable_work_tracking(PeerPool* pool) {
-  GS_CHECK(!enabled_) << "enable_work_tracking must precede build()";
+  GS_CHECK(!built_) << "enable_work_tracking must precede build()";
   GS_CHECK(pool != nullptr);
   track_work_ = true;
   pool_ = pool;
 }
 
-void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers) {
+void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers,
+                              std::size_t lanes) {
+  GS_CHECK_GT(window_span_, 0u) << "set_window must precede build()";
+  // Every allocation happens here, on the calling thread: fills on pool
+  // threads would scatter the views over per-thread malloc arenas.
   views_.assign(peers.size(), View{});
   for (net::NodeId v = 0; v < peers.size(); ++v) {
-    if (peers[v].alive() && !peers[v].is_source()) build_view(graph, peers, v);
+    if (peers[v].alive() && !peers[v].is_source()) reserve_view(graph, peers, v);
   }
-  enabled_ = true;
+  util::run_chunks(views_.size(), lanes, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t v = begin; v < end; ++v) {
+      if (views_[v].built) fill_view(graph, peers, static_cast<net::NodeId>(v));
+    }
+  });
+  built_ = true;
 }
 
-void AvailabilityIndex::build_view(const net::Graph& graph, const std::vector<PeerNode>& peers,
-                                   net::NodeId v) {
+void AvailabilityIndex::reserve_view(const net::Graph& graph, const std::vector<PeerNode>& peers,
+                                     net::NodeId v) {
   View& w = views_[v];
   w.built = true;
-  if (window_span_ > 0) {
-    w.window_base = align_down(owner_anchor(peers[v]));
-    w.supplier_count.assign(window_span_, 0);
-    w.supplied.resize(window_span_);
-  }
+  w.window_base = align_down(owner_anchor(peers[v]));
+  w.supplier_count.assign(window_span_, 0);
+  w.supplied.resize(window_span_);
+  w.alive_neighbors.reserve(graph.neighbors(v).size());
+  if (track_work_) w.work_mask.resize(window_span_ / kWordBits);
+}
+
+void AvailabilityIndex::fill_view(const net::Graph& graph, const std::vector<PeerNode>& peers,
+                                  net::NodeId v) {
+  View& w = views_[v];
   for (const net::NodeId nb : graph.neighbors(v)) {
     if (!peers[nb].alive()) continue;
     w.alive_neighbors.push_back(nb);  // graph adjacency is sorted by id
@@ -67,23 +78,8 @@ const AvailabilityIndex::View& AvailabilityIndex::view(net::NodeId v) const {
   return views_[v];
 }
 
-bool AvailabilityIndex::track_slot(View& w, SegmentId id, std::size_t& slot) const {
+bool AvailabilityIndex::track_slot(const View& w, SegmentId id, std::size_t& slot) const {
   const auto pos = static_cast<std::size_t>(id);
-  if (window_span_ == 0) {
-    const std::size_t needed = pos + 1;
-    if (w.supplier_count.size() < needed) {
-      // Geometric growth: ids arrive in near-streaming order, so this
-      // amortizes to O(1) per delivered segment.
-      const std::size_t grown = std::max(needed, w.supplier_count.size() * 2 + 64);
-      w.supplier_count.resize(grown, 0);
-      w.supplied.resize(grown);
-      // One work-mask bit per supplied word; the new words carry no
-      // suppliers yet, so zero-fill is the correct work state.
-      if (track_work_) w.work_mask.resize((grown + kWordBits - 1) / kWordBits);
-    }
-    slot = pos;
-    return true;
-  }
   if (pos < w.window_base || pos >= w.window_base + window_span_) return false;
   slot = pos - w.window_base;
   return true;
@@ -138,9 +134,7 @@ void AvailabilityIndex::recompute_head_for(const std::vector<PeerNode>& peers,
   recompute_head(views_[view], peers);
 }
 
-void AvailabilityIndex::on_gain(const net::Graph& graph, const std::vector<PeerNode>& peers,
-                                net::NodeId owner, SegmentId id) {
-  (void)peers;
+void AvailabilityIndex::on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id) {
   for (const net::NodeId nb : graph.neighbors(owner)) {
     if (!views_[nb].built) continue;
     apply_gain(nb, id);
@@ -193,7 +187,6 @@ void AvailabilityIndex::on_boundary(const net::Graph& graph, net::NodeId owner, 
 
 void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::NodeId v,
                                     SegmentId from) {
-  if (window_span_ == 0) return;
   View& w = views_[v];
   GS_CHECK(w.built);
   const std::size_t new_base = align_down(from <= 0 ? 0 : static_cast<std::size_t>(from));
@@ -217,14 +210,8 @@ void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::Nod
   // presence set right now (a gain followed by an in-batch eviction
   // cancels, matching the dropped pair).
   const std::size_t recon_lo = std::max(old_end, new_base);
-  const std::size_t recon_hi = new_base + window_span_;
   for (const net::NodeId nb : w.alive_neighbors) {
-    const util::DynamicBitset& presence = peers[nb].buffer.presence();
-    for (std::size_t pos = presence.find_first(recon_lo);
-         pos < std::min(recon_hi, presence.size()); pos = presence.find_first(pos + 1)) {
-      const std::size_t slot = pos - new_base;
-      if (w.supplier_count[slot]++ == 0) w.supplied.set(slot);
-    }
+    count_presence(w, peers[nb], recon_lo, new_base + window_span_, +1);
   }
   // The slide moved every slot; the window is a handful of words, so a
   // full work recount is cheaper than replaying the shifts.
@@ -232,28 +219,35 @@ void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::Nod
   ++updates_;
 }
 
-void AvailabilityIndex::add_supplier(View& w, const PeerNode& neighbor) const {
+void AvailabilityIndex::count_presence(View& w, const PeerNode& neighbor, std::size_t lo,
+                                       std::size_t hi, int delta) {
+  // lo and the window bounds are word-aligned, so each presence word maps
+  // onto one supplied word; ids past the presence size read as clear.
   const util::DynamicBitset& presence = neighbor.buffer.presence();
-  for (std::size_t pos = presence.find_first(w.window_base); pos < presence.size();
-       pos = presence.find_first(pos + 1)) {
-    std::size_t slot = 0;
-    if (!track_slot(w, static_cast<SegmentId>(pos), slot)) continue;
-    if (w.supplier_count[slot]++ == 0) w.supplied.set(slot);
+  hi = std::min(hi, presence.size());
+  for (std::size_t base = lo; base < hi; base += kWordBits) {
+    for (std::uint64_t bits = presence.extract_word(base); bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          base - w.window_base + static_cast<std::size_t>(std::countr_zero(bits));
+      auto& count = w.supplier_count[slot];
+      if (delta > 0) {
+        if (count++ == 0) w.supplied.set(slot);
+      } else {
+        GS_CHECK_GT(count, 0u);
+        if (--count == 0) w.supplied.reset(slot);
+      }
+    }
   }
+}
+
+void AvailabilityIndex::add_supplier(View& w, const PeerNode& neighbor) const {
+  count_presence(w, neighbor, w.window_base, w.window_base + window_span_, +1);
   w.head = std::max(w.head, neighbor.buffer.max_id());
   w.boundary_max = std::max(w.boundary_max, neighbor.known_boundary());
 }
 
 void AvailabilityIndex::remove_supplier(View& w, const PeerNode& neighbor) const {
-  const util::DynamicBitset& presence = neighbor.buffer.presence();
-  for (std::size_t pos = presence.find_first(w.window_base); pos < presence.size();
-       pos = presence.find_first(pos + 1)) {
-    std::size_t slot = 0;
-    if (!track_slot(w, static_cast<SegmentId>(pos), slot)) continue;
-    auto& count = w.supplier_count[slot];
-    GS_CHECK_GT(count, 0u);
-    if (--count == 0) w.supplied.reset(slot);
-  }
+  count_presence(w, neighbor, w.window_base, w.window_base + window_span_, -1);
 }
 
 void AvailabilityIndex::recompute_head(View& w, const std::vector<PeerNode>& peers) {
@@ -273,7 +267,8 @@ void AvailabilityIndex::recompute_boundary(View& w, const std::vector<PeerNode>&
 void AvailabilityIndex::add_peer(const net::Graph& graph, const std::vector<PeerNode>& peers,
                                  net::NodeId v) {
   if (views_.size() < peers.size()) views_.resize(peers.size());
-  build_view(graph, peers, v);
+  reserve_view(graph, peers, v);
+  fill_view(graph, peers, v);
   // Register the (empty-buffered, boundary-less) joiner with its
   // neighbours: it affects only their alive lists today, and the gain/evict
   // events keep it current from here on.

@@ -1,14 +1,12 @@
 // The availability plane: per-peer neighbour-availability views maintained
 // by deltas instead of per-tick rescans.
 //
-// The legacy hot path re-derives everything from scratch every scheduling
-// period: snapshot_and_learn walks a peer's neighbours for the boundary max,
-// then build_candidates walks them again — once for the head and once per
-// missing segment over the whole window, O(degree x buffer_capacity) per
-// peer per tick.  This index inverts the dataflow: every event that changes
-// what a neighbourhood can supply (a delivery, a FIFO eviction, a join, a
-// leave, a repair edge, a boundary learned) pushes a delta into the affected
-// peers' views, and the tick just reads them.
+// Rescanning every neighbour's buffer each scheduling period costs
+// O(degree x buffer_capacity) per peer per tick.  This index inverts the
+// dataflow: every event that changes what a neighbourhood can supply (a
+// delivery, a FIFO eviction, a join, a leave, a repair edge, a boundary
+// learned) pushes a delta into the affected peers' views, and the tick
+// just reads them.
 //
 // Per peer the view keeps
 //   - the alive neighbour list in graph (sorted-id) order,
@@ -18,24 +16,15 @@
 //   - the cached neighbour head (max buffer id any neighbour holds),
 //   - the cached boundary max (newest switch any neighbour knows of).
 //
-// Two keying modes share every code path:
-//   - absolute (default): supplier counts are indexed by absolute segment
-//     id and the arrays grow with the stream — simple and exact, but a
-//     long run accumulates O(total segments) per view;
-//   - windowed (set_window): counts live in a sliding window of
-//     `span` ids anchored at the owner's playback cursor (window_base,
-//     always a multiple of 64 so the supplied bitset stays word-aligned
-//     with the absolute received set).  Deltas outside the window are
-//     dropped; sync_window slides the base forward each tick and *exactly*
-//     reconstructs the newly covered top range from the neighbours'
-//     buffers, so in-window counts always equal the absolute-mode counts —
-//     which is what keeps windowed runs bit-identical (enforced by
-//     stream_determinism_test) while bounding per-view memory at
-//     O(buffer_capacity) for 10^5+-peer runs.
+// Counts live in a sliding window of `span` ids anchored at the owner's
+// playback cursor (window_base, always a multiple of 64 so the supplied
+// bitset stays word-aligned with the absolute received set), bounding
+// per-view memory at O(buffer_capacity).  Deltas outside the window are
+// dropped; sync_window slides the base forward each tick and *exactly*
+// reconstructs the newly covered top range from the neighbours' buffers,
+// so in-window counts always equal a from-scratch recount (the property
+// stream_availability_index_test checks).
 //
-// The maintained views are exact mirrors of what the legacy rescan would
-// compute, which is what makes the engine's incremental_availability mode
-// bit-identical to the rescan mode (enforced by stream_determinism_test).
 // State is strictly per view, and the delta entry points are split into
 // apply_gain / apply_evict / recompute_head_for so the sharded engine can
 // drain delivery deltas in parallel: each lane applies the deltas of the
@@ -66,7 +55,7 @@ class AvailabilityIndex {
     /// graph.neighbors() yields once dead peers are skipped.
     std::vector<net::NodeId> alive_neighbors;
     /// supplier_count[slot] = alive neighbours currently holding segment
-    /// window_base + slot (window_base is 0 in absolute mode).
+    /// window_base + slot.
     std::vector<std::uint16_t> supplier_count;
     /// Bit `slot` set iff supplier_count[slot] > 0.
     util::DynamicBitset supplied;
@@ -100,21 +89,11 @@ class AvailabilityIndex {
     }
   };
 
-  /// True when the engine should *read* views (candidate build, stale
-  /// checks, advert snapshots).  False in gate-only mode, where the index
-  /// is maintained purely to feed the plan gate under the legacy rescan.
-  [[nodiscard]] bool enabled() const noexcept { return enabled_ && !gate_only_; }
-  /// True when the views are being maintained at all — every delta entry
-  /// point (deliveries, evictions, churn, repair edges, boundary learns,
-  /// window slides) must fire while this holds, even in gate-only mode.
-  [[nodiscard]] bool maintained() const noexcept { return enabled_; }
-  [[nodiscard]] bool windowed() const noexcept { return window_span_ > 0; }
+  /// True once build() ran — from then on every delta entry point
+  /// (deliveries, evictions, churn, repair edges, boundary learns, window
+  /// slides) must fire.
+  [[nodiscard]] bool built() const noexcept { return built_; }
   [[nodiscard]] bool work_tracked() const noexcept { return track_work_; }
-
-  /// Keeps the index maintained but invisible to readers (enabled() stays
-  /// false).  Lets the legacy availability mode run the plan gate without
-  /// switching the scheduler to incremental views.  Call before build().
-  void set_gate_only();
 
   /// Turns on the per-view work summary and mirrors the zero/nonzero state
   /// of each view's work_words into `pool->has_work(v)` so the engine's
@@ -122,19 +101,21 @@ class AvailabilityIndex {
   /// build(); the pool must outlive the index.
   void enable_work_tracking(PeerPool* pool);
 
-  /// Switches supplier-count keying to a sliding window of `span_bits` ids
-  /// (rounded up to a word multiple) anchored at each owner's playback
-  /// cursor.  Must be called before build().
+  /// Sets the supplier-count window to `span_bits` ids (rounded up to a
+  /// word multiple) anchored at each owner's playback cursor.  Must be
+  /// called before build().
   void set_window(std::size_t span_bits);
 
   /// Builds every live non-source peer's view from the current buffers and
   /// enables event maintenance.  Call once, after setup/warm-start filled
-  /// the buffers and before the simulation loop delivers anything.
-  void build(const net::Graph& graph, const std::vector<PeerNode>& peers);
+  /// the buffers and before the simulation loop delivers anything.  The
+  /// views fill on up to `lanes` pool lanes (inline for lanes <= 1); each
+  /// fill writes only its own view and pool lane, so the result does not
+  /// depend on the lane count.
+  void build(const net::Graph& graph, const std::vector<PeerNode>& peers, std::size_t lanes = 0);
 
   /// `owner`'s buffer gained `id` (delivery or local generation).
-  void on_gain(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId owner,
-               SegmentId id);
+  void on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id);
   /// `owner`'s buffer evicted `victim`.  Call after the eviction, so head
   /// recomputation sees the post-eviction buffers.
   void on_evict(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId owner,
@@ -178,7 +159,7 @@ class AvailabilityIndex {
   void add_updates(std::uint64_t n) noexcept { updates_ += n; }
 
   /// Slides `v`'s window so it stays anchored at the owner's current
-  /// playback position `from` (windowed mode; no-op otherwise).  Counts
+  /// playback position `from`.  Counts
   /// for the newly covered top range are reconstructed exactly from the
   /// alive neighbours' buffers, recovering any deltas dropped while those
   /// ids were beyond the window.  Call from the tick pre phase, after
@@ -202,11 +183,18 @@ class AvailabilityIndex {
   [[nodiscard]] std::uint64_t updates_applied() const noexcept { return updates_; }
 
  private:
-  void build_view(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId v);
-  /// Maps `id` to its count/bitset slot in `w`.  Absolute mode grows the
-  /// arrays and always tracks; windowed mode reports out-of-window ids as
-  /// untracked (false) without touching anything.
-  bool track_slot(View& w, SegmentId id, std::size_t& slot) const;
+  /// Sizes `v`'s view (window arrays, neighbour list, work mask) so that
+  /// fill_view allocates nothing; build() runs it on the calling thread.
+  void reserve_view(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId v);
+  void fill_view(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId v);
+  /// Maps `id` to its count/bitset slot in `w`; out-of-window ids are
+  /// reported as untracked (false) without touching anything.
+  bool track_slot(const View& w, SegmentId id, std::size_t& slot) const;
+  /// Adds (delta +1) or removes (-1) `neighbor`'s held ids within `w`'s
+  /// window rows [lo, hi) to the supplier counts, a presence word at a
+  /// time.
+  static void count_presence(View& w, const PeerNode& neighbor, std::size_t lo, std::size_t hi,
+                             int delta);
   void add_supplier(View& w, const PeerNode& neighbor) const;
   void remove_supplier(View& w, const PeerNode& neighbor) const;
   static void recompute_head(View& w, const std::vector<PeerNode>& peers);
@@ -218,11 +206,10 @@ class AvailabilityIndex {
   /// only, so quiescent stretches stay read-mostly).
   void sync_work_lane(net::NodeId v, const View& w);
 
-  bool enabled_ = false;
-  bool gate_only_ = false;
+  bool built_ = false;
   bool track_work_ = false;
   PeerPool* pool_ = nullptr;
-  /// 0 = absolute keying; otherwise the window span in bits (multiple of 64).
+  /// Window span in bits (a multiple of 64; set_window).
   std::size_t window_span_ = 0;
   std::vector<View> views_;
   std::uint64_t updates_ = 0;

@@ -34,16 +34,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // buckets.  Must precede any scheduling; pop order (and every metric) is
   // bit-identical to the heap backend.
   if (config_.timing_wheel) sim_.enable_timing_wheel(config_.tau);
-  // The per-tick arena is single-threaded; parallel plan lanes keep heap
-  // allocation (their supplier lists get the null-arena fallback).
-  use_plan_arena_ = config_.peer_pool && config_.parallel_shards == 0;
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
-  GS_CHECK(!config_.delta_maps || config_.incremental_availability)
-      << "delta_maps requires incremental_availability";
   if (config_.parallel_shards > 0) {
-    // The sweep is the parallel unit, so the sharded core rides on batched
-    // dispatch (bit-identical to per-peer dispatch by PR 2's invariant).
-    config_.batch_dispatch = true;
     // Every pop scans the shard heads, so queue shards beyond a few dozen
     // only add scan cost.  The clamp is a fixed constant (not hardware-
     // dependent) — routing never affects results, but keeping the layout
@@ -78,17 +70,13 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       sim_.enable_batch_pop(true);
     }
     // One bump arena per plan lane: the sweep's candidate supplier lists
-    // stop falling back to the heap (the zero-allocation steady state now
-    // covers the parallel lanes).  Arenas reset at wave starts only.
-    const std::size_t lanes = std::min<std::size_t>(
-        config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-    lane_arenas_.reserve(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      lane_arenas_.push_back(std::make_unique<util::Arena>());
+    // never fall back to the heap (the zero-allocation steady state covers
+    // the parallel lanes).  Arenas reset at wave starts only.
+    lane_arenas_.resize(lanes());
+    for (std::unique_ptr<util::Arena>& arena : lane_arenas_) {
+      arena = std::make_unique<util::Arena>();
     }
   }
-  GS_CHECK(!config_.windowed_availability || config_.incremental_availability)
-      << "windowed_availability requires incremental_availability";
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
     // the plane's own state; its (non-batchable) delivery events route to
@@ -113,7 +101,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // Join wiring also fires, before the joiner's PeerNode exists — those
   // edges are picked up wholesale by add_peer in handle_join.
   membership_.set_on_edge_added([this](net::NodeId u, net::NodeId v) {
-    if (!availability_.maintained()) return;
+    if (!availability_.built()) return;
     if (u >= peers_.size() || v >= peers_.size()) return;
     availability_.connect(peers_, u, v);
   });
@@ -121,6 +109,13 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
 
 void Engine::set_sources(std::vector<net::NodeId> sources, std::vector<double> switch_times) {
   timeline_.set_sources(graph_.node_count(), std::move(sources), std::move(switch_times));
+}
+
+std::size_t Engine::lanes() const {
+  // Lanes beyond the physical cores only thrash the scheduler (results are
+  // lane-count-independent, so the clamp is free).
+  return std::min<std::size_t>(config_.parallel_shards,
+                               std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
 
 const PeerNode& Engine::peer(net::NodeId v) const {
@@ -193,39 +188,35 @@ void Engine::schedule_switch(int switch_index) {
 // has (capacity commits feeding later members' queue-delay reads).
 
 void Engine::tick(PeerNode& p, double now) {
-  if (!tick_pre(p, now, scan_seq_)) return;
+  if (!tick_pre(p, now)) return;
   // Sequential dispatch reuses one plan slot, so the prior tick's supplier
   // lists are dead and the arena can rewind before this tick's candidate
   // build fills it.  (Parallel waves reset their lane arenas at wave start
   // instead — a lane's earlier plans must survive to their commit.)
-  if (use_plan_arena_) {
-    plan_arena_.reset();
-    plan_seq_.arena = &plan_arena_;
-  }
-  tick_plan(p, now, scan_seq_, plan_seq_);
-  tick_commit(p, now, scan_seq_, plan_seq_, /*validate=*/false);
+  plan_arena_.reset();
+  plan_seq_.arena = &plan_arena_;
+  tick_plan(p, now, plan_seq_);
+  tick_commit(p, now, plan_seq_, /*validate=*/false);
   if (cdn_) cdn_assist_tick(p, now);
 }
 
-bool Engine::tick_pre(PeerNode& p, double now, NeighborScan& scan) {
+bool Engine::tick_pre(PeerNode& p, double now) {
   if (!p.alive() || p.is_source()) return false;
   p.in_budget().replenish(config_.tau);
-  snapshot_and_learn(p, scan);
+  snapshot_and_learn(p);
   p.prune_pending(now);
 
   advance_playback(p, now);
   maybe_start_playback(p, now);
-  // Windowed views: re-anchor the supplier window at the settled playback
-  // position so the plan phase's candidate range [from, from + B) is fully
-  // covered.  Writes only this member's own view, so the sequential pre
-  // order is preserved and the parallel plan phase sees a stable window.
-  if (availability_.windowed()) {
-    availability_.sync_window(peers_, p.id, p.playback_anchor());
-  }
+  // Re-anchor the supplier window at the settled playback position so the
+  // plan phase's candidate range [from, from + B) is fully covered.
+  // Writes only this member's own view, so the sequential pre order is
+  // preserved and the parallel plan phase sees a stable window.
+  availability_.sync_window(peers_, p.id, p.playback_anchor());
   return true;
 }
 
-void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan) {
+void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.planned = false;
   plan.gated = false;
   plan.split_active = false;
@@ -249,10 +240,10 @@ void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPl
   // "gate enabled and proven quiescent".
   if (config_.plan_gate && pool_.has_work(p.id) == 0) {
     plan.gated = true;
-    if (config_.plan_gate_recheck) recheck_gate(p, now, scan);
+    if (config_.plan_gate_recheck) recheck_gate(p, now);
     return;
   }
-  build_candidates(p, now, scan, plan);
+  build_candidates(p, now, plan);
   if (plan.candidates.empty()) {
     // An empty build is the cheap moment to settle the conservative work
     // summary: if the supplied ∧ ¬received scan finds nothing at or past
@@ -290,23 +281,19 @@ void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPl
   plan.requests = strategies_[p.strategy_index()]->schedule(ctx, plan.candidates);
 }
 
-bool Engine::plan_is_stale(const PeerNode& p, const NeighborScan& scan,
-                           const TickPlan& plan) const {
+bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
   if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
   // The plan's queue-delay reads covered (a subset of) the alive
   // neighbours; per-link capacity can never conflict (requester-keyed).
-  const std::vector<net::NodeId>& alive =
-      availability_.enabled() ? availability_.view(p.id).alive_neighbors : scan.alive;
-  for (const net::NodeId nb : alive) {
+  for (const net::NodeId nb : availability_.view(p.id).alive_neighbors) {
     if (dirty_supplier_[nb] > plan.stamp) return true;
   }
   return false;
 }
 
-void Engine::tick_commit(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan,
-                         bool validate) {
+void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate) {
   if (!plan.planned) return;
-  if (validate && !plan.candidates.empty() && plan_is_stale(p, scan, plan)) {
+  if (validate && !plan.candidates.empty() && plan_is_stale(p, plan)) {
     if (plan.stage) {
       // Stale on a commit lane: nothing may issue from here — the class
       // barrier's fixup queue re-plans this member sequentially, where the
@@ -322,7 +309,7 @@ void Engine::tick_commit(PeerNode& p, double now, const NeighborScan& scan, Tick
     // only supplier scores.
     p.rng = plan.rng_before;
     ++stats_.replanned_ticks;
-    tick_plan(p, now, scan, plan);
+    tick_plan(p, now, plan);
   }
   // Stage mode folds every global counter at the wave's final drain, from
   // the plan's final contents (a fixup re-plan overwrites them first, so
@@ -376,10 +363,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
   if (dirty_supplier_.size() < peers_.size()) dirty_supplier_.resize(peers_.size(), 0);
-  // Lanes beyond the physical cores only thrash the scheduler (metrics are
-  // lane-count-independent, so the clamp is free).
-  const std::size_t lanes = std::min<std::size_t>(
-      config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  const std::size_t lanes = this->lanes();
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
@@ -388,10 +372,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   // sequential computation and stale ones are re-planned — so this is a
   // pure throughput knob.
   const std::size_t wave = std::max<std::size_t>(32, 16 * lanes);
-  if (batch_scans_.size() < std::min(n, wave)) {
-    batch_scans_.resize(std::min(n, wave));
-    batch_plans_.resize(std::min(n, wave));
-  }
+  if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
     // Rewind the lane arenas on the caller, behind the previous wave's
@@ -405,7 +386,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     // per-member sweep would produce (nothing a plan reads is written by
     // pre, so running the wave's pres ahead of its plans is invisible).
     for (std::size_t i = 0; i < count; ++i) {
-      batch_plans_[i].live = tick_pre(peers_[members[base + i]], now, batch_scans_[i]);
+      batch_plans_[i].live = tick_pre(peers_[members[base + i]], now);
     }
     // Plan, in parallel: pure reads of shared state plus disjoint writes
     // (each member's own slot and rng).  Each lane bump-allocates supplier
@@ -415,7 +396,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
         count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
           if (!batch_plans_[i].live) return;
           batch_plans_[i].arena = lane_arenas_[lane].get();
-          tick_plan(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i]);
+          tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
     if (config_.parallel_commit) {
       commit_wave(members, base, count, lanes, now);
@@ -427,8 +408,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     for (std::size_t i = 0; i < count; ++i) {
       if (!batch_plans_[i].live) continue;
       if (batch_plans_[i].planned) ++stats_.planned_ticks;
-      tick_commit(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i],
-                  /*validate=*/true);
+      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
       // The CDN step reads only sweep-stable state (buffers, timeline,
       // registry) plus the member's own slot and the CDN's ledger, and the
       // commit loop runs it in member order — exactly the sequential
@@ -476,9 +456,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       count, peers_.size(), [&](std::size_t i) -> const std::vector<net::NodeId>* {
         const TickPlan& plan = batch_plans_[i];
         if (!shared || !plan.live || !plan.planned || plan.candidates.empty()) return nullptr;
-        const net::NodeId v = members[base + i];
-        return availability_.enabled() ? &availability_.view(v).alive_neighbors
-                                       : &batch_scans_[i].alive;
+        return &availability_.view(members[base + i]).alive_neighbors;
       });
   stats_.commit_colour_classes += colouring_.classes;
   if (class_slots_.size() < colouring_.classes) class_slots_.resize(colouring_.classes);
@@ -502,8 +480,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
                                                        now](std::size_t k) {
       const std::uint32_t i = slots[k];
       if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
-      tick_commit(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i],
-                  /*validate=*/true);
+      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
     });
     // Fixup drain, member order within the class: a stale member re-plans
     // against the live plane.  Its conflicting predecessors all sit in
@@ -518,8 +495,8 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       p.rng = plan.rng_before;
       ++stats_.replanned_ticks;
       ++stats_.commit_conflict_fixups;
-      tick_plan(p, now, batch_scans_[i], plan);
-      tick_commit(p, now, batch_scans_[i], plan, /*validate=*/false);
+      tick_plan(p, now, plan);
+      tick_commit(p, now, plan, /*validate=*/false);
     }
   }
 
@@ -575,38 +552,18 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   capacity_commits_ = wave_base + count;
 }
 
-void Engine::snapshot_and_learn(PeerNode& p, NeighborScan& scan) {
-  if (availability_.enabled()) {
-    // The maintained view already holds everything the legacy rescan would
-    // re-derive; the tick just reads it (and pays the wire cost).
-    const AvailabilityIndex::View& view = availability_.view(p.id);
-    if (config_.delta_maps) {
-      advert_availability(p, view.alive_neighbors.size());
-    } else {
-      overhead_.charge_buffer_map_exchanges(view.alive_neighbors.size());
-    }
-    if (config_.discover_via_maps && view.boundary_max > p.known_boundary()) {
-      learn_boundaries(p, view.boundary_max, sim_.now());
-    }
-    return;
+void Engine::snapshot_and_learn(PeerNode& p) {
+  // The maintained view already holds the alive neighbourhood and its
+  // newest boundary; the tick just reads it (and pays the wire cost).
+  const AvailabilityIndex::View& view = availability_.view(p.id);
+  if (config_.delta_maps) {
+    advert_availability(p, view.alive_neighbors.size());
+  } else {
+    overhead_.charge_buffer_map_exchanges(view.alive_neighbors.size());
   }
-  // Legacy: one shared pass over the neighbours serves the exchange
-  // accounting, boundary discovery AND build_candidates (alive list + head
-  // stashed in `scan` — nothing between here and the candidate build can
-  // change neighbour state within the tick).
-  scan.alive.clear();
-  scan.head = kNoSegment;
-  scan.owner = p.id;
-  int best_boundary = p.known_boundary();
-  for (const net::NodeId nb : graph_.neighbors(p.id)) {
-    const PeerNode& n = peers_[nb];
-    if (!n.alive()) continue;
-    overhead_.charge_buffer_map_exchange();
-    scan.alive.push_back(nb);
-    scan.head = std::max(scan.head, n.buffer.max_id());
-    if (config_.discover_via_maps) best_boundary = std::max(best_boundary, n.known_boundary());
+  if (config_.discover_via_maps && view.boundary_max > p.known_boundary()) {
+    learn_boundaries(p, view.boundary_max, sim_.now());
   }
-  if (best_boundary > p.known_boundary()) learn_boundaries(p, best_boundary, sim_.now());
 }
 
 void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
@@ -641,17 +598,12 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
   std::swap(p.advertised_map, advert_scratch_);
 }
 
-void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
-                              TickPlan& plan) {
+void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
   std::vector<CandidateSegment>& out = plan.candidates;
   const SegmentId from = p.playback_anchor();
 
-  const bool incremental = availability_.enabled();
-  if (!incremental) {
-    GS_CHECK_EQ(scan.owner, p.id);  // the scan scratch is this tick's
-  }
-  const AvailabilityIndex::View* view = incremental ? &availability_.view(p.id) : nullptr;
-  const SegmentId head = incremental ? view->head : scan.head;
+  const AvailabilityIndex::View& view = availability_.view(p.id);
+  const SegmentId head = view.head;
   if (head == kNoSegment || head < from) return;
   const SegmentId to =
       std::min<SegmentId>(head, from + static_cast<SegmentId>(config_.buffer_capacity) - 1);
@@ -663,19 +615,15 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
                    : kNoSegment;
   const util::ArenaAllocator<SupplierView> salloc(plan.arena);
 
-  // Legacy iterates every missing id and discovers per id that nobody
-  // supplies it; the index jumps straight to missing-and-supplied ids
-  // (word-level intersection), which yields the identical candidate list —
-  // unsupplied ids produce no CandidateSegment either way.
-  const std::vector<net::NodeId>& alive_neighbors =
-      incremental ? view->alive_neighbors : scan.alive;
+  // The index jumps straight to missing-and-supplied ids (word-level
+  // intersection of the windowed supplied bitset, bit j = id
+  // window_base + j, with the absolute received set) — unsupplied ids
+  // could never produce a CandidateSegment.
+  const std::vector<net::NodeId>& alive_neighbors = view.alive_neighbors;
   const auto next_candidate = [&](SegmentId at) -> SegmentId {
-    if (!incremental) return next_missing(p.received, at);
-    // The supplied bitset may be windowed (bit j = id window_base + j);
-    // absolute keying is the window_base == 0 case of the same walk.
     const std::size_t pos = util::DynamicBitset::first_set_and_clear_offset(
-        view->supplied, view->window_base, p.received, static_cast<std::size_t>(at));
-    if (pos >= view->supplied_end()) return to + 1;  // nothing supplied past `at`
+        view.supplied, view.window_base, p.received, static_cast<std::size_t>(at));
+    if (pos >= view.supplied_end()) return to + 1;  // nothing supplied past `at`
     return static_cast<SegmentId>(pos);
   };
 
@@ -729,13 +677,10 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
     // Same accounting as the segment-major walk: one probe per (visited
     // segment, alive neighbour) pair, charged whether or not it supplies.
     plan.probes += alive_neighbors.size();
-    if (incremental) {
-      // The view's supplier count is exactly how many SupplierViews the
-      // neighbour walk will append — one arena allocation per candidate
-      // instead of a doubling chain interleaved across the whole list.
-      c.suppliers.reserve(
-          view->supplier_count[static_cast<std::size_t>(id) - view->window_base]);
-    }
+    // The view's supplier count is exactly how many SupplierViews the
+    // neighbour walk will append — one arena allocation per candidate
+    // instead of a doubling chain interleaved across the whole list.
+    c.suppliers.reserve(view.supplier_count[static_cast<std::size_t>(id) - view.window_base]);
     out.push_back(std::move(c));
   }
   if (out.empty()) return;
@@ -779,14 +724,14 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
   std::erase_if(out, [](const CandidateSegment& c) { return c.suppliers.empty(); });
 }
 
-void Engine::recheck_gate(PeerNode& p, double now, const NeighborScan& scan) {
+void Engine::recheck_gate(PeerNode& p, double now) {
   // Scratch plan on the stack: the real plan must stay untouched (the gate
   // skipped it before any field beyond the prologue was written).  The
   // build allocates supplier lists only when a candidate has a supplier,
   // which the check forbids — so no arena is needed.
   TickPlan scratch;
   scratch.candidates.clear();
-  build_candidates(p, now, scan, scratch);
+  build_candidates(p, now, scratch);
   GS_CHECK(scratch.candidates.empty())
       << "plan gate fired for peer " << p.id << " with " << scratch.candidates.size()
       << " buildable candidates at t=" << now;
@@ -888,10 +833,8 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
 }
 
 bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId end) const {
-  // Direct neighbour-buffer probes in every availability mode: the
-  // windowed views may not cover a far-ahead patch window, and the
-  // legacy / incremental / windowed paths must agree bit for bit (the
-  // composition invariant).  Only assisting mid-switch peers pay this
+  // Direct neighbour-buffer probes: the windowed views may not cover a
+  // far-ahead patch window.  Only assisting mid-switch peers pay this
   // scan, and only until their handoff.
   for (SegmentId id = begin; id <= end; ++id) {
     if (p.has_received(id)) continue;
@@ -934,16 +877,14 @@ void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_w
     ++stats_.duplicates;
     return;
   }
-  if (availability_.maintained()) {
-    if (journal_deltas_) {
-      // Batched drain, deferred-mark path: stage the deltas on the book
-      // pass's journal row; the merge wave applies them.
-      emit_view_deltas(p.id, id, evicted, data_shards_);
-    } else {
-      // Publish the buffer change to the neighbourhood's availability views.
-      availability_.on_gain(graph_, peers_, p.id, id);
-      if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
-    }
+  if (journal_deltas_) {
+    // Batched drain, deferred-mark path: stage the deltas on the book
+    // pass's journal row; the merge wave applies them.
+    emit_view_deltas(p.id, id, evicted, data_shards_);
+  } else {
+    // Publish the buffer change to the neighbourhood's availability views.
+    availability_.on_gain(graph_, p.id, id);
+    if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
   }
   deliver_bookkeeping(p, id, now, count_wire);
 }
@@ -997,8 +938,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   }
   ++stats_.delivery_batches;
   const std::size_t shards = data_shards_;
-  const std::size_t lanes = std::min<std::size_t>(
-      shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  const std::size_t lanes = std::min(shards, this->lanes());
 
   // Partition into per-shard delivery lists (pop order preserved within a
   // list; every delivery of one peer lands in that peer's shard list).
@@ -1042,7 +982,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
           continue;
         }
         batch_outcomes_[idx] = MarkOutcome::kFresh;
-        if (availability_.maintained()) emit_view_deltas(to, id, evicted, s);
+        emit_view_deltas(to, id, evicted, s);
       }
     });
 
@@ -1051,7 +991,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
     // exactly as the inline pops would.  Cross-peer state is only written
     // (metric pushes, boundary deltas), never read, so the mark wave's early
     // buffer writes for *other* peers are invisible here.
-    journal_deltas_ = availability_.maintained();
+    journal_deltas_ = true;
     for (std::size_t i = 0; i < count; ++i) {
       if (experiment_done_) break;  // the inline order stops popping here too
       const auto to = static_cast<net::NodeId>(items[i].a);
@@ -1081,40 +1021,38 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // on the supplier counts).  Head recomputation reads other peers'
   // buffers, so it waits for the barrier and runs sequentially against the
   // settled state — which is exactly the head the inline order ends at.
-  if (availability_.maintained()) {
-    util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
-      std::vector<net::NodeId>& dirty = dirty_views_[t];
-      dirty.clear();
-      std::uint64_t applied = 0;
-      for (std::size_t s = 0; s <= data_shards_; ++s) {
-        for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
-          switch (d.kind) {
-            case ViewDelta::Kind::kGain:
-              availability_.apply_gain(d.view, d.id);
-              break;
-            case ViewDelta::Kind::kEvict:
-              if (availability_.apply_evict(d.view, d.id)) {
-                dirty.push_back(d.view);
-              }
-              break;
-            case ViewDelta::Kind::kBoundary:
-              availability_.apply_boundary(d.view, static_cast<int>(d.id));
-              break;
-          }
-          ++applied;
+  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
+    std::vector<net::NodeId>& dirty = dirty_views_[t];
+    dirty.clear();
+    std::uint64_t applied = 0;
+    for (std::size_t s = 0; s <= data_shards_; ++s) {
+      for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
+        switch (d.kind) {
+          case ViewDelta::Kind::kGain:
+            availability_.apply_gain(d.view, d.id);
+            break;
+          case ViewDelta::Kind::kEvict:
+            if (availability_.apply_evict(d.view, d.id)) {
+              dirty.push_back(d.view);
+            }
+            break;
+          case ViewDelta::Kind::kBoundary:
+            availability_.apply_boundary(d.view, static_cast<int>(d.id));
+            break;
         }
+        ++applied;
       }
-      lane_merges_[t] = applied;
-    });
-    std::uint64_t merged = 0;
-    for (std::size_t t = 0; t < shards; ++t) {
-      for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
-      merged += lane_merges_[t];
     }
-    availability_.add_updates(merged);
-    stats_.delta_journal_merges += merged;
-    for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
+    lane_merges_[t] = applied;
+  });
+  std::uint64_t merged = 0;
+  for (std::size_t t = 0; t < shards; ++t) {
+    for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
+    merged += lane_merges_[t];
   }
+  availability_.add_updates(merged);
+  stats_.delta_journal_merges += merged;
+  for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
 
   // Zero only the multiplicity entries this batch touched.
   if (!split) {
@@ -1154,7 +1092,7 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
         continue;
       }
       batch_outcomes_[idx] = MarkOutcome::kFresh;
-      if (availability_.maintained()) emit_view_deltas(to, id, evicted, s);
+      emit_view_deltas(to, id, evicted, s);
       deliver_bookkeeping(p, id, items[idx].at, /*count_wire=*/true);
     }
   });
@@ -1249,21 +1187,19 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
 void Engine::learn_boundaries(PeerNode& p, int up_to, double now) {
   if (up_to <= p.known_boundary()) return;
   p.known_boundary() = up_to;
-  if (availability_.maintained()) {
-    if (book_phase_) {
-      // Split book phase: boundary gossip writes *neighbour* views, which
-      // other lanes own — journal it like the gain/evict deltas (the
-      // learning peer's shard is this lane's shard).  boundary_max is
-      // max-monotone, so the deltas commute across the merge's row order,
-      // and no view is read before the next tick pre — after the merge.
-      const std::size_t row = (p.id % data_shards_) * data_shards_;
-      for (const net::NodeId nb : graph_.neighbors(p.id)) {
-        delta_journals_[row + nb % data_shards_].push_back(
-            {nb, static_cast<SegmentId>(up_to), ViewDelta::Kind::kBoundary});
-      }
-    } else {
-      availability_.on_boundary(graph_, p.id, up_to);
+  if (book_phase_) {
+    // Split book phase: boundary gossip writes *neighbour* views, which
+    // other lanes own — journal it like the gain/evict deltas (the
+    // learning peer's shard is this lane's shard).  boundary_max is
+    // max-monotone, so the deltas commute across the merge's row order,
+    // and no view is read before the next tick pre — after the merge.
+    const std::size_t row = (p.id % data_shards_) * data_shards_;
+    for (const net::NodeId nb : graph_.neighbors(p.id)) {
+      delta_journals_[row + nb % data_shards_].push_back(
+          {nb, static_cast<SegmentId>(up_to), ViewDelta::Kind::kBoundary});
     }
+  } else {
+    availability_.on_boundary(graph_, p.id, up_to);
   }
   if (p.is_source()) return;
   if (p.active_switch() >= 0 && up_to >= p.active_switch() && !p.gate_armed() &&

@@ -105,40 +105,32 @@ struct EngineConfig {
   bool discover_via_maps = true;
   /// Randomize tick phase within the period (desynchronized clients);
   /// ticks are lockstep at period boundaries when false.  Phases are drawn
-  /// per *shard* (see tick_shard_size), not per peer, so the schedule is
-  /// identical under both dispatch modes.
+  /// per tick *shard* (see tick_shard_size), not per peer: each shard's
+  /// peers tick in one sim::BatchTicker sweep event per period.
   bool stagger_ticks = true;
-  /// Batched tick dispatch: sweep each shard's peers with one simulator
-  /// event per period (sim::BatchTicker) instead of one PeriodicTask per
-  /// peer.  Pure mechanism: fixed-seed metrics are bit-identical with the
-  /// flag on or off (enforced by stream_determinism_test); only the event
-  /// count and the scheduling overhead change.
-  bool batch_dispatch = false;
   /// Timing-wheel event plane: back each event-queue shard with a
   /// hierarchical timing wheel (near wheel quantized at tau, coarser
   /// overflow wheel, far-horizon spill heap; see sim/timing_wheel.hpp)
   /// instead of a binary heap — amortized O(1) schedule/cancel, O(bucket)
-  /// pops.  Pure mechanism like batch_dispatch: each bucket drains through
-  /// a stable (time, sequence) sort, so pop order — and every fixed-seed
-  /// metric — is bit-identical with the flag on or off at every shard
-  /// count (enforced by stream_determinism_test and the sim_property_test
+  /// pops.  Pure mechanism: each bucket drains through a stable (time,
+  /// sequence) sort, so pop order — and every fixed-seed metric — is
+  /// bit-identical with the flag on or off at every shard count (enforced
+  /// by stream_determinism_test and the sim_property_test
   /// backend-equivalence property); only schedule/pop cost and the wheel
   /// telemetry (EngineStats::events_wheeled / wheel_overflow_promotions /
   /// spill_heap_peak) change.
   bool timing_wheel = true;
   /// Peers per tick shard: peers [s*size, (s+1)*size) share one stagger
-  /// phase and, under batch_dispatch, one sweep event.  Shared by both
-  /// dispatch modes so they produce the same schedule; must be >= 1.
-  /// Under parallel_shards this is also the parallel grain: one sweep's
-  /// members are planned concurrently, so larger shards amortise the
-  /// fork/join cost (scale runs want 128-512).
+  /// phase and one sweep event; must be >= 1.  Under parallel_shards this
+  /// is also the parallel grain: one sweep's members are planned
+  /// concurrently, so larger shards amortise the fork/join cost (scale
+  /// runs want 128-512).
   std::size_t tick_shard_size = 16;
   /// Sharded parallel simulation core.  0 = the classic single-threaded
   /// path.  P >= 1 splits the pending-event set into per-shard queues
   /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)), forces batch_dispatch on, and runs every tick
-  /// sweep through a three-phase pipeline on up to P lanes of
-  /// util::global_pool():
+  /// (time, sequence)) and runs every tick sweep through a three-phase
+  /// pipeline on up to P lanes of util::global_pool():
   ///   pre    sequential, member order — every cross-peer-visible write
   ///          (availability adverts, boundary learning, playback/metrics);
   ///   plan   parallel, read-only — candidate build + strategy scheduling
@@ -148,10 +140,11 @@ struct EngineConfig {
   ///          counters drain in the deterministic order; a member whose
   ///          supplier backlog an earlier member changed is re-planned
   ///          (rng rolled back) against the live plane.
-  /// Pure mechanism like batch_dispatch: fixed-seed metrics are
-  /// bit-identical for every shard count, including 0 (enforced by
-  /// stream_determinism_test); only wall-clock and the shard diagnostics
-  /// change.
+  /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
+  /// count, including 0 (enforced by stream_determinism_test and
+  /// stream_golden_digest_test); only wall-clock and the shard diagnostics
+  /// change.  The set-up passes (warm start, availability index build) run
+  /// on the same lanes.
   std::size_t parallel_shards = 0;
   /// Parallel delivery wave of the sharded core (parallel_shards > 0
   /// only).  Consecutive delivery events are popped as one batch
@@ -205,18 +198,6 @@ struct EngineConfig {
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
   double token_bucket_burst = 4.0;
-  /// Million-peer memory plane.  Per-tick-hot peer scalars always live in
-  /// the engine's struct-of-arrays PeerPool; this flag additionally swaps
-  /// the per-peer node-based containers for flat ones — the stream buffer's
-  /// deque + unordered_map become a fixed ring + open-addressed map, the
-  /// pending-request book and the playback arrival record lose their heap
-  /// nodes — and backs the sequential tick plan's supplier lists with a
-  /// per-tick bump arena.  Pure mechanism like batch_dispatch: fixed-seed
-  /// metrics are bit-identical with the flag on or off at every shard count
-  /// (enforced by stream_determinism_test); only memory layout and
-  /// allocation traffic change (see EngineStats::bytes_per_peer and bench
-  /// BM_MillionPeer).
-  bool peer_pool = false;
   /// Flash-crowd scenario: this many extra peers join at a uniform pace
   /// over [flash_crowd_start, flash_crowd_start + flash_crowd_duration)
   /// (seconds, experiment time — the first switch is at 0, so the defaults
@@ -227,34 +208,16 @@ struct EngineConfig {
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
-  /// Incremental availability plane: maintain each peer's merged view of
-  /// neighbour availability (per-segment supplier counts, cached head,
-  /// cached boundary max) by deltas pushed from deliveries, evictions,
-  /// churn and boundary learning, instead of rescanning every neighbour's
-  /// buffer each tick.  Pure mechanism like batch_dispatch: fixed-seed
-  /// metrics are bit-identical with the flag on or off (enforced by
-  /// stream_determinism_test); only the scan work changes (see
-  /// EngineStats::availability_probes and bench BM_BuildCandidates).
-  bool incremental_availability = false;
-  /// Windowed availability views (requires incremental_availability):
-  /// re-keys each view's supplier counts onto a sliding window anchored at
-  /// the peer's playback cursor, bounding per-view memory at
-  /// O(buffer_capacity) instead of O(total stream length) — the 10^5+-peer
-  /// long-run configuration.  Pure mechanism: fixed-seed metrics are
-  /// bit-identical with the flag on or off (enforced by
-  /// stream_determinism_test); the window slides in the tick pre phase and
-  /// reconstructs the entering range exactly from neighbour buffers.
-  bool windowed_availability = false;
-  /// The plan work-set plane (PR 10).  Two coupled mechanisms behind one
-  /// switch, both "identical metrics, less work" like timing_wheel:
-  ///   - the quiescence gate: under incremental availability the index
-  ///     tracks each view's missing ∧ supplied word count and mirrors the
-  ///     zero/nonzero state into PeerPool::has_work, and tick_plan skips
-  ///     the whole NeighborScan + candidate build for peers whose lane
-  ///     reads 0.  tick_plan returns before any strategy rng draw when the
-  ///     candidate list is empty, so a correct gate is rng-neutral and
-  ///     fixed-seed metrics stay bit-identical (enforced by
-  ///     stream_determinism_test at shards 0/1/4/7);
+  /// The plan work-set plane.  Two coupled mechanisms behind one switch,
+  /// both "identical metrics, less work" like timing_wheel:
+  ///   - the quiescence gate: the availability index tracks each view's
+  ///     missing ∧ supplied word count and mirrors the zero/nonzero state
+  ///     into PeerPool::has_work, and tick_plan skips the whole candidate
+  ///     build for peers whose lane reads 0.  tick_plan returns before
+  ///     any strategy rng draw when the candidate list is empty, so a
+  ///     correct gate is rng-neutral and fixed-seed metrics stay
+  ///     bit-identical (enforced by stream_determinism_test at shards
+  ///     0/1/4/7);
   ///   - the neighbour-major candidate build: build_candidates collects
   ///     the missing-and-supplied ids first, then enumerates suppliers
   ///     neighbour-outer, hoisting each neighbour's rate and queue-delay
@@ -263,11 +226,6 @@ struct EngineConfig {
   ///     accounting, a fraction of the random memory traffic.
   /// With the flag off both paths revert to the exact pre-gate code.
   bool plan_gate = true;
-  /// Maintain the availability index in gate-only mode under the *legacy*
-  /// rescan scheduler (incremental_availability off) so the plan gate can
-  /// fire there too.  Off by default: it adds index upkeep to a mode whose
-  /// point is measuring the rescan cost (bench_ablation_availability).
-  bool plan_gate_legacy = false;
   /// Debug cross-check: re-run the full candidate build for every gated
   /// peer and GS_CHECK the result is empty.  Costs what the gate saves;
   /// wired into the ASan/UBSan CI job and the PlanGate recheck tests.
@@ -277,7 +235,6 @@ struct EngineConfig {
   /// refresh every map_refresh_period adverts and whenever the delta would
   /// not beat the full map.  Accounting-model change: the overhead-ratio
   /// metric drops by design; everything else stays bit-identical.
-  /// Requires incremental_availability.
   bool delta_maps = false;
   /// Adverts between full-map refreshes under delta_maps (>= 1; 1 sends
   /// full maps every period, i.e. the paper's accounting).
@@ -343,14 +300,13 @@ struct EngineStats {
   /// Requests issued for old-stream / new-stream segments during splits.
   std::uint64_t old_stream_requests = 0;
   std::uint64_t new_stream_requests = 0;
-  /// Simulator events popped over the whole run (dispatch-cost diagnostic:
-  /// batch_dispatch lowers this without changing any other stat).
+  /// Simulator events popped over the whole run (dispatch-cost diagnostic).
   std::uint64_t events_popped = 0;
-  /// Supplier-membership probes during candidate build — one per (visited
-  /// segment, neighbour) pair.  The candidate-scan cost diagnostic:
-  /// incremental_availability lowers it without changing any paper metric.
+  /// Supplier-membership probes during candidate build — one per
+  /// (candidate segment, alive neighbour) pair.  The candidate-scan cost
+  /// diagnostic.
   std::uint64_t availability_probes = 0;
-  /// Availability-index delta events applied (incremental mode only).
+  /// Availability-index delta events applied, window slides included.
   std::uint64_t index_updates = 0;
   /// Plan-gate diagnostics (config_.plan_gate): member ticks whose
   /// candidate build was skipped because the work lane read quiescent,
@@ -501,17 +457,11 @@ class Engine {
   void schedule_switch(int switch_index);
   void generate_segment(SessionIndex k, double now);
 
+  /// Pool lanes of the parallel sections: min(parallel_shards, hardware
+  /// threads); 0 when the engine runs sequentially.
+  [[nodiscard]] std::size_t lanes() const;
+
   // --- per-tick pipeline ---
-  /// Legacy-mode neighbour scan scratch: the one shared pass of
-  /// snapshot_and_learn leaves the alive neighbours (graph order) and their
-  /// max held id for build_candidates.  Sequential ticks reuse scan_seq_;
-  /// parallel sweeps keep one slot per member so plans can run
-  /// concurrently.
-  struct NeighborScan {
-    std::vector<net::NodeId> alive;
-    SegmentId head = kNoSegment;
-    net::NodeId owner = 0;
-  };
   /// A delivery issued under the commit wave's stage mode: the capacity
   /// commit and the jitter draw already happened on the lane; only the
   /// simulator event is deferred, posted by the final member-order drain so
@@ -570,39 +520,35 @@ class Engine {
   /// Phase 1: budget replenish, availability exchange, pending prune,
   /// playback — every tick effect another peer (or the timeline) can
   /// observe.  False when the peer does not tick (source / dead).
-  bool tick_pre(PeerNode& p, double now, NeighborScan& scan);
+  bool tick_pre(PeerNode& p, double now);
   /// Phase 2: candidate build + strategy scheduling into `plan`.  Reads
   /// shared state, writes only `plan` and p.rng — safe to run concurrently
   /// for distinct peers while nothing mutates.
-  void tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan);
+  void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
   /// issue with rejection fallback, capacity commits.  With `validate`, a
   /// plan whose supplier set was dirtied earlier in the sweep is re-planned
   /// against the live transfer plane (rng rolled back first).
-  void tick_commit(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan,
-                   bool validate);
+  void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
   /// Could a commit the plan did not observe have changed a queue delay it
   /// read?  Conservative: any alive neighbour's uplink committed to after
   /// the plan's stamp counts (only supplier-keyed capacity models can
   /// conflict — per-link state is requester-local).
-  [[nodiscard]] bool plan_is_stale(const PeerNode& p, const NeighborScan& scan,
-                                   const TickPlan& plan) const;
+  [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
   /// The sharded sweep driver: pre in member order, plan on the pool,
   /// commit in member order (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
-  /// Availability exchange bookkeeping + boundary discovery.  Legacy mode
-  /// walks the neighbours once into `scan` (one shared pass serving the
-  /// exchange accounting, boundary discovery and build_candidates);
-  /// incremental mode reads the maintained view instead.
-  void snapshot_and_learn(PeerNode& p, NeighborScan& scan);
+  /// Availability exchange bookkeeping + boundary discovery, read off the
+  /// peer's maintained availability view.
+  void snapshot_and_learn(PeerNode& p);
   /// Charges one availability advert from `p` to its `receivers` alive
   /// neighbours under delta_maps accounting (delta or periodic full map).
   void advert_availability(PeerNode& p, std::size_t receivers);
-  void build_candidates(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan);
+  void build_candidates(PeerNode& p, double now, TickPlan& plan);
   /// Debug cross-check for the plan gate (config_.plan_gate_recheck): runs
   /// the full candidate build for a gated-out peer on scratch state and
   /// GS_CHECKs that it really had nothing schedulable.
-  void recheck_gate(PeerNode& p, double now, const NeighborScan& scan);
+  void recheck_gate(PeerNode& p, double now);
   /// Issues one scheduled request.  Inline mode (plan.stage false) posts the
   /// delivery event and bumps the global counters directly; stage mode
   /// stages the delivery into the plan, stamps dirty_supplier_ with
@@ -623,8 +569,8 @@ class Engine {
   /// inbound budget.
   void cdn_assist_tick(PeerNode& p, double now);
   /// Every missing id in [begin, end] has at least one alive neighbour
-  /// holding it.  Probes neighbour buffers directly in all availability
-  /// modes so legacy / incremental / windowed runs agree bit for bit.
+  /// holding it.  Probes neighbour buffers directly: the patch window can
+  /// lie beyond the availability view's window.
   [[nodiscard]] bool cdn_window_covered(const PeerNode& p, SegmentId begin,
                                         SegmentId end) const;
   void on_cdn_delivery(net::NodeId to, SegmentId id);
@@ -741,8 +687,8 @@ class Engine {
   SegmentRegistry registry_;
   TransferPlane transfers_;
   SwitchTimeline timeline_;
-  /// Incremental per-peer neighbour-availability views
-  /// (config_.incremental_availability; disabled and empty otherwise).
+  /// Delta-maintained per-peer neighbour-availability views (built in
+  /// run(), after the warm start).
   AvailabilityIndex availability_;
   /// CDN patch-source plane (config_.cdn_assist; null otherwise, so the
   /// disabled engine is byte-for-byte the pre-CDN engine).
@@ -753,21 +699,17 @@ class Engine {
   /// its slot here (see peer_pool.hpp).
   PeerPool pool_;
 
-  /// Sequential tick scratch (single-threaded dispatch paths).
-  NeighborScan scan_seq_;
+  /// Sequential tick scratch (parallel_shards == 0).
   TickPlan plan_seq_;
-  /// Per-tick bump arena behind the sequential plan's supplier lists
-  /// (config_.peer_pool with parallel_shards == 0; the arena is
-  /// single-threaded, so parallel plan lanes keep heap allocation).  Reset
-  /// at the top of every sequential plan — prior plans are dead by then.
+  /// Per-tick bump arena behind the sequential plan's supplier lists (the
+  /// parallel plan lanes have their own, see lane_arenas_).  Reset at the
+  /// top of every sequential plan — prior plans are dead by then.
   util::Arena plan_arena_;
-  bool use_plan_arena_ = false;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
   /// Per-member slots for the sharded sweep pipeline (parallel_shards > 0);
   /// sized to the largest sweep seen and reused.
-  std::vector<NeighborScan> batch_scans_;
   std::vector<TickPlan> batch_plans_;
   /// dirty_supplier_[v] = value of capacity_commits_ when v's uplink was
   /// last committed to (the plan-staleness test compares it against the
@@ -853,7 +795,7 @@ class Engine {
   std::unique_ptr<sim::PeriodicTask> flash_task_;
   std::size_t flash_joined_ = 0;
 
-  /// Batched tick dispatch (config_.batch_dispatch only).
+  /// Tick dispatch: one sweep event per tick shard per period.
   std::unique_ptr<sim::BatchTicker> ticker_;
   /// shard index -> ticker group (initial peers only; kNoTickGroup until
   /// the shard's first non-source peer arms it).

@@ -8,6 +8,7 @@
 #include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/meminfo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gs::stream {
 
@@ -22,9 +23,8 @@ void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
     p.outbound_rate() = config_.outbound.sample(node_setup);
   }
   p.in_budget() = RateBudget(p.inbound_rate(), config_.budget_carry);
-  p.buffer = StreamBuffer(config_.buffer_capacity, config_.peer_pool);
-  p.playback = Playback(config_.playback_rate, config_.peer_pool);
-  p.pending.use_flat(config_.peer_pool);
+  p.buffer = StreamBuffer(config_.buffer_capacity);
+  p.playback = Playback(config_.playback_rate);
   p.rng = util::Rng(config_.seed).fork(util::hash_name("peer")).fork(v);
 }
 
@@ -61,12 +61,6 @@ double Engine::tick_offset(net::NodeId v) const {
 void Engine::start_peer_tick(PeerNode& p, bool initial) {
   if (p.is_source()) return;  // sources never pull
   const double start = sim_.now() + tick_offset(p.id);
-  if (!config_.batch_dispatch) {
-    const net::NodeId id = p.id;
-    p.tick_task = std::make_unique<sim::PeriodicTask>(
-        sim_, start, config_.tau, [this, id](double now) { tick(peers_[id], now); });
-    return;
-  }
   if (!ticker_) {
     ticker_ = std::make_unique<sim::BatchTicker>(
         sim_, config_.tau,
@@ -81,16 +75,14 @@ void Engine::start_peer_tick(PeerNode& p, bool initial) {
   }
   if (initial) {
     // Initial peers of a shard share the same start time; the shard's
-    // group is armed by its first non-source peer, so the group's event
-    // claims exactly the sequence slot that peer's PeriodicTask would.
+    // group is armed by its first non-source peer.
     const std::size_t shard = p.id / std::max<std::size_t>(1, config_.tick_shard_size);
     if (shard >= shard_group_.size()) shard_group_.resize(shard + 1, kNoTickGroup);
     if (shard_group_[shard] == kNoTickGroup) shard_group_[shard] = ticker_->add_group(start);
     p.tick_group = shard_group_[shard];
   } else {
     // Joiners tick on their own grid (join time + phase), so they get a
-    // singleton group; its fresh event id matches the fresh PeriodicTask a
-    // per-peer run would create at this very call.
+    // singleton group.
     p.tick_group = ticker_->add_group(start);
   }
   ticker_->add_member(p.tick_group, p.id);
@@ -132,14 +124,13 @@ void Engine::handle_leave(net::NodeId v) {
   GS_CHECK(p.alive());
   GS_CHECK(!p.is_source());
   p.alive() = false;
-  if (p.tick_task) p.tick_task->cancel();
   if (p.tick_group != kNoTickGroup) {
     ticker_->remove_member(p.tick_group, p.id);
     p.tick_group = kNoTickGroup;
   }
   // Unregister from the neighbourhood views while the graph still has v's
   // edges; the repair edges membership adds below re-enter via connect().
-  if (availability_.maintained()) availability_.remove_peer(graph_, peers_, v);
+  availability_.remove_peer(graph_, peers_, v);
   membership_.leave(v);
   ++stats_.leaves;
   if (p.tracked() && p.active_switch() >= 0) {
@@ -191,7 +182,7 @@ net::NodeId Engine::handle_join() {
       p.start_id() <= timeline_.session(static_cast<std::size_t>(current)).last) {
     timeline_.init_switch_counters(p, current, sim_.now(), config_.q_startup);
   }
-  if (availability_.maintained()) availability_.add_peer(graph_, peers_, v);
+  availability_.add_peer(graph_, peers_, v);
   start_peer_tick(p, /*initial=*/false);
   return v;
 }
@@ -221,8 +212,12 @@ void Engine::warm_start_state() {
   const double population = static_cast<double>(std::max<std::size_t>(peers_.size(), 2));
   const double backlog_target =
       config_.stable_backlog_scale * std::pow(population, config_.stable_backlog_exponent);
-  for (PeerNode& p : peers_) {
-    if (p.is_source()) continue;
+  // Each peer's seeding writes only its own buffer, received set, playback
+  // and pool slot and draws only its own rng, so the peers split into
+  // independent contiguous chunks, one per lane (inline at 0 shards) — the
+  // result is the same at every lane count.
+  const auto seed_peer = [&](PeerNode& p) {
+    if (p.is_source()) return;
     // Roughly uniform backlog (see config docs) with mild spread and an
     // optional per-hop component.  The warmup is kept short so spare
     // inbound rate does not drain the seeded state before the switch (in
@@ -246,7 +241,10 @@ void Engine::warm_start_state() {
     }
     p.start_run() = static_cast<std::uint32_t>(cursor) + 1;
     p.playback.start(cursor, t0);
-  }
+  };
+  util::run_chunks(peers_.size(), lanes(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t v = begin; v < end; ++v) seed_peer(peers_[v]);
+  });
 }
 
 // -------------------------------------------------------- debug series ---
@@ -298,27 +296,16 @@ std::vector<SwitchMetrics> Engine::run() {
   init_peers();
   if (config_.warm_start) warm_start_state();
   // Build the availability views from the settled (possibly warm-started)
-  // buffers; every later change flows in as a delta event.
-  if (config_.incremental_availability) {
-    if (config_.windowed_availability) {
-      // Window span: the candidate range is at most buffer_capacity wide
-      // and starts within a word of the anchored base; the extra slack
-      // tracks a little ahead so slides reconstruct less.
-      availability_.set_window(config_.buffer_capacity + 192);
-    }
-    // The plan gate rides the maintained views for free: work tracking
-    // mirrors each view's missing ∧ supplied word count into the pool's
-    // has_work lane, and tick_plan skips quiescent members.
-    if (config_.plan_gate) availability_.enable_work_tracking(&pool_);
-    availability_.build(graph_, peers_);
-  } else if (config_.plan_gate && config_.plan_gate_legacy) {
-    // Legacy rescan scheduler with the gate: maintain the index purely as
-    // the gate's work tracker (enabled() stays false, so candidate builds
-    // and adverts still run the legacy rescan they are benchmarked as).
-    availability_.set_gate_only();
-    availability_.enable_work_tracking(&pool_);
-    availability_.build(graph_, peers_);
-  }
+  // buffers; every later change flows in as a delta event.  Window span:
+  // the candidate range is at most buffer_capacity wide and starts within
+  // a word of the anchored base; the extra slack tracks a little ahead so
+  // slides reconstruct less.
+  availability_.set_window(config_.buffer_capacity + 192);
+  // The plan gate rides the maintained views for free: work tracking
+  // mirrors each view's missing ∧ supplied word count into the pool's
+  // has_work lane, and tick_plan skips quiescent members.
+  if (config_.plan_gate) availability_.enable_work_tracking(&pool_);
+  availability_.build(graph_, peers_, lanes());
   start_session(0);
   for (std::size_t i = 0; i < timeline_.switch_count(); ++i) {
     schedule_switch(static_cast<int>(i));

@@ -46,8 +46,9 @@ enum class StreamEpoch : std::uint8_t {
 };
 
 /// Supplier lists are rebuilt from scratch every scheduling period, so they
-/// can live in a per-tick arena (EngineConfig::peer_pool's sequential path);
-/// the default-constructed allocator falls back to the heap everywhere else.
+/// live in a per-tick arena (the engine's sequential plan arena or a plan
+/// lane's); the default-constructed allocator falls back to the heap
+/// everywhere else.
 using SupplierList = std::vector<SupplierView, util::ArenaAllocator<SupplierView>>;
 
 /// A segment the node needs and at least one neighbour can supply.

@@ -7,8 +7,7 @@
 
 namespace gs::stream {
 
-StreamBuffer::StreamBuffer(std::size_t capacity, bool flat)
-    : capacity_(capacity), flat_mode_(flat) {
+StreamBuffer::StreamBuffer(std::size_t capacity) : capacity_(capacity) {
   GS_CHECK_GE(capacity, 1u);
 }
 
@@ -25,73 +24,48 @@ SegmentId StreamBuffer::insert(SegmentId id) {
   if (contains(id)) return kNoSegment;
   grow_presence(id);
 
-  if (flat_mode_) {
-    if (flat_ == nullptr) flat_ = std::make_unique<Flat>();
-    Flat& f = *flat_;
-    SegmentId victim = kNoSegment;
-    if (f.count == capacity_) {
-      // Evict-before-insert keeps the ring at `capacity` slots.  With
-      // capacity >= 1 this picks the same victim and assigns the same
-      // sequence numbers as the legacy insert-then-evict order, so both
-      // backends stay bit-identical.
-      victim = f.ring[f.head];
-      f.head = f.head + 1 == f.ring.size() ? 0 : f.head + 1;
-      --f.count;
-      f.sequence.erase(static_cast<std::int32_t>(victim));
-      presence_.reset(static_cast<std::size_t>(victim));
-      ++evictions_;
-      if (victim == max_id_) {
-        // Rare: the max can only be evicted under heavy id reordering.
-        max_id_ = kNoSegment;
-        for (std::size_t i = 0; i < f.count; ++i) {
-          std::size_t slot = f.head + i;
-          if (slot >= f.ring.size()) slot -= f.ring.size();
-          max_id_ = std::max(max_id_, f.ring[slot]);
-        }
-      }
-    } else if (f.count == f.ring.size()) {
-      // Grow geometrically towards `capacity`, relinearising so the oldest
-      // element lands at slot 0.  Once count reaches capacity the ring is
-      // exactly `capacity` slots and only the eviction branch runs.
-      std::vector<SegmentId> bigger(
-          std::min(capacity_, std::max<std::size_t>(16, f.ring.size() * 2)), kNoSegment);
+  if (flat_ == nullptr) flat_ = std::make_unique<Flat>();
+  Flat& f = *flat_;
+  SegmentId victim = kNoSegment;
+  if (f.count == capacity_) {
+    // Evict-before-insert keeps the ring at `capacity` slots; the victim is
+    // the oldest held id, exactly as insert-then-evict would pick.
+    victim = f.ring[f.head];
+    f.head = f.head + 1 == f.ring.size() ? 0 : f.head + 1;
+    --f.count;
+    f.sequence.erase(static_cast<std::int32_t>(victim));
+    presence_.reset(static_cast<std::size_t>(victim));
+    ++evictions_;
+    if (victim == max_id_) {
+      // Rare: the max can only be evicted under heavy id reordering.
+      max_id_ = kNoSegment;
       for (std::size_t i = 0; i < f.count; ++i) {
         std::size_t slot = f.head + i;
         if (slot >= f.ring.size()) slot -= f.ring.size();
-        bigger[i] = f.ring[slot];
+        max_id_ = std::max(max_id_, f.ring[slot]);
       }
-      f.ring = std::move(bigger);
-      f.head = 0;
     }
-    std::size_t tail = f.head + f.count;
-    if (tail >= f.ring.size()) tail -= f.ring.size();
-    f.ring[tail] = id;
-    ++f.count;
-    f.sequence.set(static_cast<std::int32_t>(id),
-                   static_cast<std::uint32_t>(next_sequence_++));
-    presence_.set(static_cast<std::size_t>(id));
-    max_id_ = std::max(max_id_, id);
-    return victim;
+  } else if (f.count == f.ring.size()) {
+    // Grow geometrically towards `capacity`, relinearising so the oldest
+    // element lands at slot 0.  Once count reaches capacity the ring is
+    // exactly `capacity` slots and only the eviction branch runs.
+    std::vector<SegmentId> bigger(
+        std::min(capacity_, std::max<std::size_t>(16, f.ring.size() * 2)), kNoSegment);
+    for (std::size_t i = 0; i < f.count; ++i) {
+      std::size_t slot = f.head + i;
+      if (slot >= f.ring.size()) slot -= f.ring.size();
+      bigger[i] = f.ring[slot];
+    }
+    f.ring = std::move(bigger);
+    f.head = 0;
   }
-
-  if (legacy_ == nullptr) legacy_ = std::make_unique<Legacy>();
-  Legacy& l = *legacy_;
-  l.order.push_back(id);
-  l.sequence[id] = next_sequence_++;
+  std::size_t tail = f.head + f.count;
+  if (tail >= f.ring.size()) tail -= f.ring.size();
+  f.ring[tail] = id;
+  ++f.count;
+  f.sequence.set(static_cast<std::int32_t>(id), static_cast<std::uint32_t>(next_sequence_++));
   presence_.set(static_cast<std::size_t>(id));
   max_id_ = std::max(max_id_, id);
-
-  if (l.order.size() <= capacity_) return kNoSegment;
-  const SegmentId victim = l.order.front();
-  l.order.pop_front();
-  l.sequence.erase(victim);
-  presence_.reset(static_cast<std::size_t>(victim));
-  ++evictions_;
-  if (victim == max_id_) {
-    // Rare: the max can only be evicted under heavy id reordering.
-    max_id_ = kNoSegment;
-    for (const SegmentId held : l.order) max_id_ = std::max(max_id_, held);
-  }
   return victim;
 }
 
@@ -105,35 +79,23 @@ std::size_t StreamBuffer::position_from_tail(SegmentId id) const noexcept {
   // element at the tail, so the distance from the tail is the number of
   // later insertions plus one.  Evictions remove from the head and do not
   // change any survivor's distance from the tail.
-  if (flat_mode_) {
-    if (flat_ == nullptr) return 0;
-    const std::uint32_t* seq = flat_->sequence.find(static_cast<std::int32_t>(id));
-    // uint32 wraparound subtraction: the distance is < capacity <= 2^32.
-    return seq == nullptr
-               ? 0
-               : static_cast<std::size_t>(static_cast<std::uint32_t>(next_sequence_) - *seq);
-  }
-  if (legacy_ == nullptr) return 0;
-  const auto it = legacy_->sequence.find(id);
-  if (it == legacy_->sequence.end()) return 0;
-  return static_cast<std::size_t>(next_sequence_ - it->second);
+  if (flat_ == nullptr) return 0;
+  const std::uint32_t* seq = flat_->sequence.find(static_cast<std::int32_t>(id));
+  // uint32 wraparound subtraction: the distance is < capacity <= 2^32.
+  return seq == nullptr
+             ? 0
+             : static_cast<std::size_t>(static_cast<std::uint32_t>(next_sequence_) - *seq);
 }
 
 SegmentId StreamBuffer::oldest() const noexcept {
-  if (flat_mode_) {
-    return (flat_ == nullptr || flat_->count == 0) ? kNoSegment : flat_->ring[flat_->head];
-  }
-  return (legacy_ == nullptr || legacy_->order.empty()) ? kNoSegment : legacy_->order.front();
+  return (flat_ == nullptr || flat_->count == 0) ? kNoSegment : flat_->ring[flat_->head];
 }
 
 SegmentId StreamBuffer::newest() const noexcept {
-  if (flat_mode_) {
-    if (flat_ == nullptr || flat_->count == 0) return kNoSegment;
-    std::size_t tail = flat_->head + flat_->count - 1;
-    if (tail >= flat_->ring.size()) tail -= flat_->ring.size();
-    return flat_->ring[tail];
-  }
-  return (legacy_ == nullptr || legacy_->order.empty()) ? kNoSegment : legacy_->order.back();
+  if (flat_ == nullptr || flat_->count == 0) return kNoSegment;
+  std::size_t tail = flat_->head + flat_->count - 1;
+  if (tail >= flat_->ring.size()) tail -= flat_->ring.size();
+  return flat_->ring[tail];
 }
 
 gossip::BufferMap StreamBuffer::build_map(std::size_t window_bits) const {
@@ -152,14 +114,6 @@ std::size_t StreamBuffer::memory_bytes() const noexcept {
   std::size_t total = presence_.memory_bytes();
   if (flat_ != nullptr) {
     total += flat_->ring.capacity() * sizeof(SegmentId) + flat_->sequence.memory_bytes();
-  }
-  if (legacy_ != nullptr) {
-    // Node-based estimate: deque block plus a heap node (payload + two
-    // pointers of overhead) per mapped segment.
-    total += legacy_->order.size() * sizeof(SegmentId) + 512 +
-             legacy_->sequence.bucket_count() * sizeof(void*) +
-             legacy_->sequence.size() *
-                 (sizeof(std::pair<SegmentId, std::uint64_t>) + 2 * sizeof(void*));
   }
   return total;
 }

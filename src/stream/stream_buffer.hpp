@@ -6,20 +6,16 @@
 // the eviction candidate has position size() <= B.  rarity (eq. 8) uses
 // p_ij / B as the per-supplier replacement probability.
 //
-// Two storage backends share one observable behaviour.  The legacy backend
-// (default) keeps insertion order in a std::deque and sequence numbers in a
-// std::unordered_map.  The flat backend (EngineConfig::peer_pool) replaces
-// them with a fixed ring of `capacity` ids plus a FlatSegmentMap — two
-// contiguous allocations per peer instead of a deque chunk plus a heap node
-// per held segment, which is what makes 10^6 buffers fit.  Either way the
-// state is created lazily on first insert, so an empty buffer owns no heap.
+// Storage is a ring of at most `capacity` ids in insertion order plus a
+// FlatSegmentMap of insertion sequence numbers — two contiguous
+// allocations per peer instead of a deque chunk plus a heap node per held
+// segment, which is what makes 10^6 buffers fit.  The state is created
+// lazily on first insert, so an empty buffer owns no heap.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "gossip/buffer_map.hpp"
@@ -33,14 +29,10 @@ using gossip::kNoSegment;
 
 class StreamBuffer {
  public:
-  /// `flat` selects the ring + flat-map backend (identical behaviour).
-  explicit StreamBuffer(std::size_t capacity, bool flat = false);
+  explicit StreamBuffer(std::size_t capacity);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept {
-    if (flat_mode_) return flat_ ? flat_->count : 0;
-    return legacy_ ? legacy_->order.size() : 0;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return flat_ ? flat_->count : 0; }
 
   /// Inserts `id`; returns the evicted id (kNoSegment if none).  Duplicate
   /// inserts are no-ops returning kNoSegment.
@@ -76,18 +68,12 @@ class StreamBuffer {
 
   [[nodiscard]] std::uint64_t eviction_count() const noexcept { return evictions_; }
 
-  /// Heap bytes owned by the active backend plus the presence bitset.
+  /// Heap bytes owned by the ring, the sequence map and the presence bitset.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  /// Legacy backend: deque of ids in insertion order (front = oldest) plus
-  /// id -> insertion sequence number, erased on eviction.
-  struct Legacy {
-    std::deque<SegmentId> order;
-    std::unordered_map<SegmentId, std::uint64_t> sequence;
-  };
-  /// Flat backend: ring of held ids (head = oldest) plus the same id ->
-  /// sequence map, open-addressed.  The ring grows geometrically up to
+  /// Ring of held ids (head = oldest) plus the id -> insertion sequence
+  /// map, erased on eviction.  The ring grows geometrically up to
   /// `capacity` so a near-empty buffer (short runs, fresh joiners) does not
   /// pay for B slots up front.  The map narrows both sides to 32 bits —
   /// segment ids are bounded by rate x horizon and sequence *distances*
@@ -107,8 +93,6 @@ class StreamBuffer {
   }
 
   std::size_t capacity_;
-  bool flat_mode_;
-  std::unique_ptr<Legacy> legacy_;
   std::unique_ptr<Flat> flat_;
   util::DynamicBitset presence_;
   std::uint64_t next_sequence_ = 1;

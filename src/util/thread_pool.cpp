@@ -193,4 +193,15 @@ ThreadPool& global_pool() {
   return pool;
 }
 
+void run_chunks(std::size_t n, std::size_t lanes,
+                const std::function<void(std::size_t, std::size_t)>& body) {
+  if (lanes <= 1) {
+    body(0, n);
+    return;
+  }
+  global_pool().run_batch(lanes, lanes, [n, lanes, &body](std::size_t c) {
+    body(n * c / lanes, n * (c + 1) / lanes);
+  });
+}
+
 }  // namespace gs::util

@@ -92,4 +92,11 @@ class ThreadPool {
 /// Process-wide pool shared by benches; constructed on first use.
 ThreadPool& global_pool();
 
+/// Splits [0, n) into `lanes` contiguous chunks and runs body(begin, end)
+/// for each on global_pool().run_batch, the calling thread included.  With
+/// lanes <= 1 it is one inline call body(0, n) that never touches the
+/// pool.  Chunks must be independent, like run_batch iterations.
+void run_chunks(std::size_t n, std::size_t lanes,
+                const std::function<void(std::size_t, std::size_t)>& body);
+
 }  // namespace gs::util

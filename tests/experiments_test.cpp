@@ -1,8 +1,10 @@
 // Config validation/defaults, scenario building, runner comparisons.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "experiments/config.hpp"
 #include "experiments/report.hpp"
@@ -48,6 +50,47 @@ TEST(Config, ValidationErrors) {
   config = Config::paper_static(100, AlgorithmKind::kFast);
   config.topology = TopologyKind::kTraceFile;
   EXPECT_THROW(config.validate(), std::invalid_argument) << "missing trace path";
+}
+
+TEST(Config, RejectsEachMeaninglessEngineSetting) {
+  // One bad field at a time on top of valid paper defaults: each must be
+  // rejected up front with a message, never run into a solver check or a
+  // silent 0.00 result.
+  const struct {
+    const char* what;
+    void (*spoil)(stream::EngineConfig&);
+  } cases[] = {
+      {"Q = 0", [](stream::EngineConfig& e) { e.q_consecutive = 0; }},
+      {"Q > Qs", [](stream::EngineConfig& e) { e.q_consecutive = e.q_startup + 1; }},
+      {"Qs > B", [](stream::EngineConfig& e) { e.q_startup = e.buffer_capacity + 1; }},
+      {"leave fraction < 0", [](stream::EngineConfig& e) { e.churn_leave_fraction = -0.1; }},
+      {"leave fraction = 1", [](stream::EngineConfig& e) { e.churn_leave_fraction = 1.0; }},
+      {"join fraction = 1.5", [](stream::EngineConfig& e) { e.churn_join_fraction = 1.5; }},
+      {"join fraction NaN",
+       [](stream::EngineConfig& e) { e.churn_join_fraction = std::nan(""); }},
+      {"source_outbound = 0", [](stream::EngineConfig& e) { e.source_outbound = 0.0; }},
+      {"source_outbound < 0", [](stream::EngineConfig& e) { e.source_outbound = -5.0; }},
+      {"tau = 0", [](stream::EngineConfig& e) { e.tau = 0.0; }},
+      {"playback_rate = 0", [](stream::EngineConfig& e) { e.playback_rate = 0.0; }},
+      {"horizon = 0", [](stream::EngineConfig& e) { e.horizon = 0.0; }},
+      {"horizon NaN", [](stream::EngineConfig& e) { e.horizon = std::nan(""); }},
+      {"push_fanout = 0", [](stream::EngineConfig& e) { e.push_fanout = 0; }},
+  };
+  ASSERT_NO_THROW(Config::paper_static(100, AlgorithmKind::kFast).validate());
+  for (const auto& c : cases) {
+    Config config = Config::paper_static(100, AlgorithmKind::kFast);
+    c.spoil(config.engine);
+    try {
+      config.validate();
+      ADD_FAILURE() << c.what << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_GT(std::string(e.what()).size(), 0u) << c.what;
+    }
+  }
+  // The boundaries themselves stay valid: Q = Qs = B and zero churn.
+  Config edge = Config::paper_static(100, AlgorithmKind::kFast);
+  edge.engine.q_consecutive = edge.engine.q_startup = edge.engine.buffer_capacity;
+  EXPECT_NO_THROW(edge.validate());
 }
 
 TEST(Config, EnumStringRoundTrip) {

@@ -1,7 +1,9 @@
-// Property test for the availability plane's plan-gate work summary: an
-// AvailabilityIndex with work tracking on is driven by a randomized delta
-// stream (deliveries, evictions, leaves, joins, repair edges, boundary
-// learns, window slides) and, at every checkpoint, each built view's
+// Property tests for the availability plane.  The set-up build must equal
+// a per-bit recount at every lane count (AvailabilityIndexBuildTest, end of
+// file).  The plan-gate work summary: an AvailabilityIndex with work
+// tracking on is driven by a randomized delta stream (deliveries,
+// evictions, leaves, joins, repair edges, boundary learns, window slides)
+// and, at every checkpoint, each built view's
 // summary must satisfy the *conservative* contract behind the engine's
 // quiescence gate:
 //   - the supplied bitset exactly equals the OR of the alive neighbours'
@@ -48,8 +50,7 @@ struct Swarm {
   std::vector<SegmentId> cursor; // monotone window anchor fed to sync_window
 };
 
-class AvailabilityWorkSummaryTest
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class AvailabilityWorkSummaryTest : public ::testing::TestWithParam<int> {};
 
 void verify_views(Swarm& s) {
   for (net::NodeId v = 0; v < s.peers.size(); ++v) {
@@ -119,8 +120,7 @@ void verify_views(Swarm& s) {
 }
 
 TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas) {
-  const auto [seed, windowed] = GetParam();
-  util::Rng rng(static_cast<std::uint64_t>(seed));
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()));
 
   constexpr std::size_t kCore = 20;    // wired and alive from the start
   constexpr std::size_t kJoiners = 4;  // dead slots admitted mid-run
@@ -150,7 +150,7 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
     }
   }
 
-  if (windowed) s.index.set_window(256);
+  s.index.set_window(256);
   s.index.enable_work_tracking(&s.pool);
   s.index.build(s.graph, s.peers);
   for (net::NodeId v = 1; v < kCore; ++v) s.built[v] = true;
@@ -183,7 +183,7 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
           std::max<SegmentId>(0, stream_head - rng.uniform_int(0, 40)));
       SegmentId evicted = kNoSegment;
       if (s.peers[v].mark_received(id, &evicted)) {
-        s.index.on_gain(s.graph, s.peers, v, id);
+        s.index.on_gain(s.graph, v, id);
         if (evicted != kNoSegment) s.index.on_evict(s.graph, s.peers, v, evicted);
       }
     } else if (kind < 70) {
@@ -225,9 +225,102 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
   verify_views(s);
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedsByMode, AvailabilityWorkSummaryTest,
-                         ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Seeds, AvailabilityWorkSummaryTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
+
+// ---------------------------------------------------------------------------
+// Set-up equivalence: build() fills counts a presence word at a time and
+// runs the fills on pool lanes.  Whatever the lane count, every view must
+// equal a per-bit, sequential recount from the buffers — counts, supplied
+// bits, head, boundary max, work mask and the pool's has_work lane —
+// including for neighbours holding ids past the window's top.
+
+struct ReferenceView {
+  std::size_t window_base = 0;
+  std::vector<std::uint16_t> counts;
+  SegmentId head = kNoSegment;
+  int boundary_max = -1;
+  std::vector<bool> work_words;
+};
+
+ReferenceView recount(const Swarm& s, net::NodeId v, std::size_t span) {
+  ReferenceView r;
+  const SegmentId anchor = s.peers[v].playback_anchor();
+  const auto from = static_cast<std::size_t>(std::max<SegmentId>(anchor, 0));
+  r.window_base = from - from % kWordBits;
+  r.counts.assign(span, 0);
+  for (const net::NodeId nb : s.graph.neighbors(v)) {
+    const PeerNode& n = s.peers[nb];
+    if (!n.alive()) continue;
+    for (std::size_t slot = 0; slot < span; ++slot) {
+      if (n.buffer.contains(static_cast<SegmentId>(r.window_base + slot))) ++r.counts[slot];
+    }
+    r.head = std::max(r.head, n.buffer.max_id());
+    r.boundary_max = std::max(r.boundary_max, n.known_boundary());
+  }
+  r.work_words.assign(span / kWordBits, false);
+  for (std::size_t slot = 0; slot < span; ++slot) {
+    const auto id = static_cast<SegmentId>(r.window_base + slot);
+    if (r.counts[slot] > 0 && !s.peers[v].has_received(id)) r.work_words[slot / kWordBits] = true;
+  }
+  return r;
+}
+
+class AvailabilityIndexBuildTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AvailabilityIndexBuildTest, WordParallelBuildEqualsPerBitRecount) {
+  constexpr std::size_t kPeers = 60;
+  constexpr std::size_t kSpan = 256;
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  for (const std::size_t lanes : {0u, 1u, 3u, 8u}) {
+    Swarm s;
+    util::Rng topo = rng.fork(lanes);
+    s.graph = net::preferential_attachment(kPeers, 3, topo);
+    net::repair_min_degree(s.graph, 4, topo);
+    s.pool.resize(kPeers);
+    s.peers.resize(kPeers);
+    for (net::NodeId v = 0; v < kPeers; ++v) {
+      PeerNode& p = s.peers[v];
+      p.bind(s.pool, v);
+      p.id = v;
+      p.buffer = StreamBuffer(200);
+      // Anchors spread over several windows; buffers hold ids from below
+      // the window to well past its top (and evict under the capacity).
+      p.start_id() = static_cast<SegmentId>(topo.uniform_int(0, 700));
+      const SegmentId lo = std::max<SegmentId>(0, p.start_id() - 100);
+      for (auto k = topo.uniform_int(0, 300); k > 0; --k) {
+        (void)p.mark_received(lo + static_cast<SegmentId>(topo.uniform_int(0, 3 * kSpan)));
+      }
+      p.known_boundary() = static_cast<int>(topo.uniform_int(-1, 3));
+      if (topo.uniform_int(0, 9) == 0) s.pool.alive(v) = 0;
+    }
+    s.pool.is_source(0) = 1;
+    s.index.set_window(kSpan);
+    s.index.enable_work_tracking(&s.pool);
+    s.index.build(s.graph, s.peers, lanes);
+    for (net::NodeId v = 0; v < kPeers; ++v) {
+      if (!s.peers[v].alive() || s.peers[v].is_source()) continue;
+      const AvailabilityIndex::View& w = s.index.view(v);
+      const ReferenceView r = recount(s, v, kSpan);
+      ASSERT_EQ(w.window_base, r.window_base) << "view " << v << " lanes " << lanes;
+      ASSERT_EQ(w.supplier_count, r.counts) << "view " << v << " lanes " << lanes;
+      for (std::size_t slot = 0; slot < kSpan; ++slot) {
+        ASSERT_EQ(w.supplied.test(slot), r.counts[slot] > 0) << "view " << v << " slot " << slot;
+      }
+      EXPECT_EQ(w.head, r.head) << "view " << v;
+      EXPECT_EQ(w.boundary_max, r.boundary_max) << "view " << v;
+      std::uint32_t words = 0;
+      for (std::size_t word = 0; word < r.work_words.size(); ++word) {
+        EXPECT_EQ(w.work_mask.test(word), r.work_words[word]) << "view " << v << " word " << word;
+        words += r.work_words[word] ? 1 : 0;
+      }
+      EXPECT_EQ(w.work_words, words) << "view " << v;
+      EXPECT_EQ(s.pool.has_work(v) != 0, words != 0) << "view " << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AvailabilityIndexBuildTest, ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace gs::stream

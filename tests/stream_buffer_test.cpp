@@ -2,6 +2,9 @@
 // Playback engine timing, stalls and gates; RateBudget; BandwidthSampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "stream/bandwidth.hpp"
@@ -119,12 +122,40 @@ TEST(StreamBuffer, BuildMapEmptyBuffer) {
   EXPECT_EQ(map.available_count(), 0u);
 }
 
-TEST(StreamBuffer, FlatModeMatchesLegacyOnRandomWorkload) {
-  // The flat ring must be observationally identical to the deque+map
-  // implementation: same victims, same max, same positions, same map.
+/// Node-based reference FIFO: insertion order in a deque, insertion
+/// sequence numbers in a map.  Obviously correct, and what the ring +
+/// open-addressed map must reproduce observably.
+struct ReferenceFifo {
+  std::size_t capacity = 0;
+  std::deque<SegmentId> order;
+  std::map<SegmentId, std::uint64_t> sequence;
+  std::uint64_t next_sequence = 1;
+
+  SegmentId insert(SegmentId id) {
+    if (sequence.count(id) != 0) return kNoSegment;
+    order.push_back(id);
+    sequence[id] = next_sequence++;
+    if (order.size() <= capacity) return kNoSegment;
+    const SegmentId victim = order.front();
+    order.pop_front();
+    sequence.erase(victim);
+    return victim;
+  }
+  [[nodiscard]] SegmentId max_id() const {
+    return order.empty() ? kNoSegment : *std::max_element(order.begin(), order.end());
+  }
+  [[nodiscard]] std::size_t position_from_tail(SegmentId id) const {
+    const auto it = sequence.find(id);
+    return it == sequence.end() ? 0 : static_cast<std::size_t>(next_sequence - it->second);
+  }
+};
+
+TEST(StreamBuffer, RingMatchesReferenceFifoOnRandomWorkload) {
+  // Same victims, same max, same positions as the node-based FIFO.
   util::Rng rng(321);
-  StreamBuffer legacy(32, false);
-  StreamBuffer flat(32, true);
+  ReferenceFifo reference;
+  reference.capacity = 32;
+  StreamBuffer ring(32);
   SegmentId next = 0;
   for (int step = 0; step < 5000; ++step) {
     // Mostly fresh ids with occasional duplicates and out-of-order inserts.
@@ -135,18 +166,15 @@ TEST(StreamBuffer, FlatModeMatchesLegacyOnRandomWorkload) {
     } else {
       id = rng.uniform_int(0, next > 0 ? next - 1 : 0);
     }
-    EXPECT_EQ(legacy.insert(id), flat.insert(id)) << "step " << step;
-    ASSERT_EQ(legacy.size(), flat.size());
-    EXPECT_EQ(legacy.max_id(), flat.max_id());
-    EXPECT_EQ(legacy.oldest(), flat.oldest());
+    EXPECT_EQ(reference.insert(id), ring.insert(id)) << "step " << step;
+    ASSERT_EQ(reference.order.size(), ring.size());
+    EXPECT_EQ(reference.max_id(), ring.max_id());
+    EXPECT_EQ(reference.order.front(), ring.oldest());
+    EXPECT_EQ(reference.order.back(), ring.newest());
     const SegmentId probe = rng.uniform_int(0, next > 0 ? next - 1 : 0);
-    EXPECT_EQ(legacy.contains(probe), flat.contains(probe)) << "step " << step;
-    EXPECT_EQ(legacy.position_from_tail(probe), flat.position_from_tail(probe));
+    EXPECT_EQ(reference.sequence.count(probe) != 0, ring.contains(probe)) << "step " << step;
+    EXPECT_EQ(reference.position_from_tail(probe), ring.position_from_tail(probe));
   }
-  const auto legacy_map = legacy.build_map(64);
-  const auto flat_map = flat.build_map(64);
-  EXPECT_EQ(legacy_map.base(), flat_map.base());
-  EXPECT_EQ(legacy_map.available_count(), flat_map.available_count());
 }
 
 // ---------------------------------------------------------------- playback
@@ -254,14 +282,57 @@ TEST(Playback, PlayedCountAccumulates) {
   EXPECT_EQ(pb.played_count(), 10u);
 }
 
-TEST(Playback, FlatArrivalRingMatchesMapMode) {
-  // Arrival-driven stall accounting must not depend on the bookkeeping
-  // structure: drive both modes through identical late-arrival schedules.
+/// Reference playback with the arrival record in an ordered map (erased as
+/// the cursor passes): the straightforward form of Playback's bounded
+/// direct-mapped arrival ring, without the window bound or the id-check
+/// trick.
+struct ReferencePlayback {
+  double interval = 0.1;
+  SegmentId cursor = 0;
+  double next_due = 0.0;
+  double stall_time = 0.0;
+  std::map<SegmentId, double> arrivals;
+
+  void notify_arrival(SegmentId id, double now) {
+    if (id < cursor) return;
+    if (id == cursor) {
+      if (next_due < now) {
+        stall_time += now - next_due;
+        next_due = now;
+      }
+      return;
+    }
+    arrivals[id] = now;
+  }
+  template <typename Has>
+  std::vector<std::pair<SegmentId, double>> advance(double now, const Has& has) {
+    std::vector<std::pair<SegmentId, double>> plays;
+    while (next_due <= now && has(cursor)) {
+      const auto it = arrivals.find(cursor);
+      if (it != arrivals.end()) {
+        if (it->second > next_due) {
+          stall_time += it->second - next_due;
+          next_due = it->second;
+        }
+        arrivals.erase(it);
+        if (next_due > now) break;
+      }
+      plays.emplace_back(cursor, next_due);
+      ++cursor;
+      next_due += interval;
+      arrivals.erase(arrivals.begin(), arrivals.lower_bound(cursor));
+    }
+    return plays;
+  }
+};
+
+TEST(Playback, ArrivalRingMatchesReferenceOnLateArrivals) {
+  // Arrival-driven stall accounting through the bounded ring must match
+  // the unbounded ordered-map record on identical late-arrival schedules.
   util::Rng rng(654);
-  Playback map_mode(10.0, false);
-  Playback flat_mode(10.0, true);
-  map_mode.start(0, 0.0);
-  flat_mode.start(0, 0.0);
+  ReferencePlayback reference;
+  Playback ring(10.0);
+  ring.start(0, 0.0);
   std::vector<bool> have(400, false);
   const auto has = [&](SegmentId id) {
     return id >= 0 && static_cast<std::size_t>(id) < have.size() &&
@@ -269,26 +340,27 @@ TEST(Playback, FlatArrivalRingMatchesMapMode) {
   };
   double now = 0.0;
   SegmentId next_arrival = 0;
+  std::size_t played = 0;
   for (int step = 0; step < 300; ++step) {
     now += 0.01 * static_cast<double>(rng.uniform_int(1, 20));
     // Deliver a random burst, sometimes leaving gaps that stall playback.
     const auto burst = rng.uniform_int(0, 2);
     for (SegmentId k = 0; k < burst && next_arrival < 400; ++k) {
       have[static_cast<std::size_t>(next_arrival)] = true;
-      map_mode.notify_arrival(next_arrival, now);
-      flat_mode.notify_arrival(next_arrival, now);
+      reference.notify_arrival(next_arrival, now);
+      ring.notify_arrival(next_arrival, now);
       ++next_arrival;
     }
-    std::vector<std::pair<SegmentId, double>> map_plays;
-    std::vector<std::pair<SegmentId, double>> flat_plays;
-    map_mode.advance(now, has, [&](SegmentId id, double t) { map_plays.emplace_back(id, t); });
-    flat_mode.advance(now, has, [&](SegmentId id, double t) { flat_plays.emplace_back(id, t); });
-    ASSERT_EQ(map_plays, flat_plays) << "step " << step;
-    EXPECT_EQ(map_mode.cursor(), flat_mode.cursor());
-    EXPECT_DOUBLE_EQ(map_mode.stall_time(), flat_mode.stall_time());
+    const auto reference_plays = reference.advance(now, has);
+    std::vector<std::pair<SegmentId, double>> ring_plays;
+    ring.advance(now, has, [&](SegmentId id, double t) { ring_plays.emplace_back(id, t); });
+    ASSERT_EQ(reference_plays, ring_plays) << "step " << step;
+    played += ring_plays.size();
+    EXPECT_EQ(reference.cursor, ring.cursor());
+    EXPECT_DOUBLE_EQ(reference.stall_time, ring.stall_time());
   }
-  EXPECT_EQ(map_mode.played_count(), flat_mode.played_count());
-  EXPECT_GT(map_mode.stall_time(), 0.0) << "workload should have exercised stalls";
+  EXPECT_EQ(ring.played_count(), played);
+  EXPECT_GT(ring.stall_time(), 0.0) << "workload should have exercised stalls";
 }
 
 // ---------------------------------------------------------------- budgets

@@ -30,20 +30,14 @@ struct RunSpec {
   bool churn = false;
   bool per_link = false;
   bool token_bucket = false;
-  bool batch = false;
   bool stagger = true;
-  bool incremental = false;
   bool delta_maps = false;
-  bool windowed = false;
   /// The parallel delivery wave + sweep super-batching of the sharded core
   /// (effective only when parallel > 0; defaults on, like the engine).
   bool delivery_wave = true;
   /// The parallel commit + book passes of the sharded core (effective only
   /// when parallel > 0; defaults on, like the engine).
   bool commit = true;
-  /// Million-peer memory plane: flat pending/buffer/arrival containers and
-  /// the sequential plan arena.
-  bool peer_pool = false;
   /// Flash-crowd joiners admitted shortly after the first switch (0 = off).
   std::size_t flash_joins = 0;
   /// CDN-assisted fast switch (changes dynamics by design when on; off must
@@ -55,9 +49,6 @@ struct RunSpec {
   /// Plan work-set plane (defaults on, like the engine; false = the
   /// segment-major build with no quiescence gate).
   bool gate = true;
-  /// Maintain a gate-only availability index under the legacy rescan
-  /// scheduler so the gate fires there too (plan_gate_legacy).
-  bool gate_legacy = false;
   /// Debug cross-check: re-build gated plans and assert emptiness.
   bool gate_recheck = false;
   /// Caught-up steady swarm (no synthetic backlog or lag): the scenario
@@ -85,19 +76,14 @@ RunOutput run_setup(const RunSpec& setup) {
   }
   if (setup.per_link) config.supplier_capacity = SupplierCapacityModel::kPerLink;
   if (setup.token_bucket) config.supplier_capacity = SupplierCapacityModel::kTokenBucket;
-  config.batch_dispatch = setup.batch;
   config.stagger_ticks = setup.stagger;
-  config.incremental_availability = setup.incremental || setup.windowed;
   config.delta_maps = setup.delta_maps;
-  config.windowed_availability = setup.windowed;
   config.parallel_delivery = setup.delivery_wave;
   config.parallel_commit = setup.commit;
-  config.peer_pool = setup.peer_pool;
   config.flash_crowd_joins = setup.flash_joins;
   config.cdn_assist = setup.cdn;
   config.timing_wheel = setup.wheel;
   config.plan_gate = setup.gate;
-  config.plan_gate_legacy = setup.gate && setup.gate_legacy;
   config.plan_gate_recheck = setup.gate && setup.gate_recheck;
   if (setup.steady) {
     config.sparse_fill = 1.0;
@@ -205,186 +191,13 @@ TEST(Determinism, MultiSwitchReproducesIdenticalMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched tick dispatch must be *observably invisible*: the same seed with
-// batch_dispatch on and off has to reproduce every metric bit for bit, in
-// every scenario dimension (algorithm, churn, capacity model, multi-switch,
-// staggered and lockstep phases).  Only the event count may change.
-
-RunOutput run_batched(RunSpec setup) {
-  setup.batch = true;
-  return run_setup(setup);
-}
-
-TEST(BatchDispatch, FastSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, NormalSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, ChurnMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, PerLinkCapacityMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 27;
-  setup.per_link = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, MultiSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, LockstepTicksMatchPerPeerDispatch) {
-  // Lockstep phases force systematic timestamp ties between peer ticks,
-  // generation, churn and the switch event — the hardest ordering case.
-  RunSpec setup;
-  setup.seed = 31;
-  setup.stagger = false;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, LockstepChurnMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, BatchedRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 41;
-  setup.batch = true;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
-
-TEST(BatchDispatch, PopsFewerEventsThanPerPeerDispatch) {
-  RunSpec setup;
-  const RunOutput per_peer = run_setup(setup);
-  const RunOutput batched = run_batched(setup);
-  EXPECT_LT(batched.stats.events_popped, per_peer.stats.events_popped)
-      << "batching should collapse per-peer tick events into shard sweeps";
-  EXPECT_GT(batched.stats.events_popped, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// The incremental availability plane must be *observably invisible* exactly
-// like batch dispatch: delta-maintained views, cached neighbour heads and
-// cached boundary maxima have to reproduce every metric bit for bit against
-// the per-tick rescan, across algorithms, churn (joins, leaves and the
-// repair edges they trigger), the capacity models, multi-switch timelines
-// and both dispatch modes.  Only the scan-work diagnostics may change.
-
-RunOutput run_incremental(RunSpec setup) {
-  setup.incremental = true;
-  return run_setup(setup);
-}
-
-TEST(IncrementalAvailability, FastSwitchMatchesRescan) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, NormalSwitchMatchesRescan) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, ChurnMatchesRescan) {
-  // Churn exercises every index maintenance path: leaves subtract supplier
-  // sets, repair adds edges between existing peers mid-run, joins register
-  // empty views that fill by deltas.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, PerLinkCapacityMatchesRescan) {
-  RunSpec setup;
-  setup.seed = 27;
-  setup.per_link = true;
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, MultiSwitchMatchesRescan) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, LockstepChurnMatchesRescan) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_incremental(setup));
-}
-
-TEST(IncrementalAvailability, BatchDispatchComposes) {
-  // incremental x batch vs plain: the two mechanisms must stay independent.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec both = setup;
-  both.batch = true;
-  expect_identical(run_setup(setup), run_incremental(both));
-}
-
-TEST(IncrementalAvailability, BatchChurnComposes) {
-  RunSpec setup;
-  setup.seed = 47;
-  setup.churn = true;
-  RunSpec both = setup;
-  both.batch = true;
-  expect_identical(run_setup(setup), run_incremental(both));
-}
-
-TEST(IncrementalAvailability, IncrementalChurnRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 53;
-  setup.incremental = true;
-  setup.batch = true;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
-
-TEST(IncrementalAvailability, ProbesFewerThanRescan) {
-  RunSpec setup;
-  const RunOutput rescan = run_setup(setup);
-  const RunOutput indexed = run_incremental(setup);
-  EXPECT_LT(indexed.stats.availability_probes, rescan.stats.availability_probes)
-      << "the index should skip unsupplied segments the rescan visits";
-  EXPECT_GT(indexed.stats.availability_probes, 0u);
-  EXPECT_GT(indexed.stats.index_updates, 0u);
-  EXPECT_EQ(rescan.stats.index_updates, 0u);
-}
-
 // Delta accounting changes the *wire model*, not the dynamics: every metric
-// except the overhead ratios must match the full-map incremental run, and
-// the ratios must drop (that is the point of sending deltas).
+// except the overhead ratios must match the full-map run, and the ratios
+// must drop (that is the point of sending deltas).
 
-TEST(IncrementalAvailability, DeltaMapsOnlyLowerTheOverheadRatio) {
+TEST(DeltaMaps, OnlyLowerTheOverheadRatio) {
   RunSpec setup;
   setup.seed = 59;
-  setup.incremental = true;
   RunSpec delta = setup;
   delta.delta_maps = true;
   const RunOutput full = run_setup(setup);
@@ -402,25 +215,22 @@ TEST(IncrementalAvailability, DeltaMapsOnlyLowerTheOverheadRatio) {
   EXPECT_GT(with_delta.stats.full_map_adverts, 0u);
 }
 
-TEST(IncrementalAvailability, DeltaMapsChurnRunsReproduceThemselves) {
+TEST(DeltaMaps, ChurnRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 61;
-  setup.incremental = true;
   setup.delta_maps = true;
   setup.churn = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
 // ---------------------------------------------------------------------------
-// The sharded parallel core must be *observably invisible* exactly like
-// batch dispatch and the incremental availability plane: the same seed at
-// any shard count — per-shard event queues, parallel tick planning,
+// The sharded parallel core must be *observably invisible*: the same seed
+// at any shard count — per-shard event queues, parallel tick planning,
 // speculative plans re-planned on capacity conflicts — has to reproduce
 // every metric bit for bit against the sequential engine, across
-// algorithms, churn, capacity models, dispatch modes, availability modes
-// and tick-shard sizes.  Only wall clock and the shard diagnostics
-// (parallel_sweeps / planned_ticks / replanned_ticks / cross_shard_events
-// / events_popped) may change.
+// algorithms, churn, capacity models and tick-shard sizes.  Only wall
+// clock and the shard diagnostics (parallel_sweeps / planned_ticks /
+// replanned_ticks / cross_shard_events / events_popped) may change.
 
 RunOutput run_sharded(RunSpec setup, std::size_t shards) {
   setup.parallel = shards;
@@ -476,35 +286,6 @@ TEST(ParallelShards, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_sharded(setup, 4));
 }
 
-TEST(ParallelShards, BatchDispatchComposes) {
-  // parallel_shards forces batch dispatch on; the sequential arm running
-  // per-peer dispatch must still match bit for bit (transitively through
-  // PR 2's batch invariant).
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec batched = setup;
-  batched.batch = true;
-  expect_identical(run_setup(setup), run_sharded(batched, 4));
-}
-
-TEST(ParallelShards, IncrementalAvailabilityComposes) {
-  RunSpec setup;
-  setup.seed = 47;
-  setup.incremental = true;
-  expect_identical(run_setup(setup), run_sharded(setup, 7));
-}
-
-TEST(ParallelShards, IncrementalChurnBatchComposes) {
-  // The full composition: delta-maintained views, batched dispatch, churn
-  // and the sharded core at once.
-  RunSpec setup;
-  setup.seed = 53;
-  setup.churn = true;
-  setup.incremental = true;
-  setup.batch = true;
-  expect_identical(run_setup(setup), run_sharded(setup, 4));
-}
-
 TEST(ParallelShards, LockstepChurnMatchesSequential) {
   // Lockstep phases put every sweep of a period at the same timestamp —
   // the densest same-time event mix the merge rule has to keep ordered.
@@ -556,7 +337,7 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
 // the same seed with the wave on and off — and against the fully
 // sequential engine — has to reproduce every metric bit for bit at every
 // shard count, across algorithms, churn, all three capacity models,
-// multi-switch timelines and the batch/incremental compositions.  Only
+// and multi-switch timelines.  Only
 // wall clock and the drain diagnostics (delivery_batches /
 // delta_journal_merges / superbatch_sweeps) may change.
 
@@ -613,18 +394,6 @@ TEST(ParallelDelivery, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_delivery(setup, 4));
 }
 
-TEST(ParallelDelivery, BatchIncrementalComposes) {
-  // The full mechanism stack: delta-maintained views feed the journal
-  // merge wave while batched dispatch feeds the sweeps.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  stacked.incremental = true;
-  expect_identical(run_setup(setup), run_delivery(stacked, 4));
-  expect_identical(run_setup(setup), run_delivery(stacked, 7));
-}
-
 TEST(ParallelDelivery, LockstepChurnMatchesSequential) {
   // Lockstep phases put every sweep of a period at one timestamp: the
   // super-batch path runs every period, concatenating all groups into one
@@ -642,7 +411,6 @@ TEST(ParallelDelivery, WaveRunsReproduceThemselves) {
   setup.seed = 61;
   setup.parallel = 7;
   setup.churn = true;
-  setup.incremental = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
@@ -650,7 +418,6 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
   RunSpec setup;
   setup.seed = 31;
   setup.stagger = false;  // lockstep: guarantees super-batched sweeps
-  setup.incremental = true;
   const RunOutput sequential = run_setup(setup);
   const RunOutput waved = run_delivery(setup, 4);
   const RunOutput unwaved = run_delivery(setup, 4, /*wave=*/false);
@@ -665,186 +432,18 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed availability views re-key supplier counts onto a sliding window
-// anchored at the playback cursor.  The window is pure memory mechanism:
-// every metric must match both the absolute-keyed incremental plane and
-// the legacy rescan, bit for bit, including under churn (joins build
-// windowed views, leaves subtract through the window, repair edges add
-// suppliers across it) and composed with the sharded core's delivery wave.
-
-RunOutput run_windowed(RunSpec setup) {
-  setup.windowed = true;
-  return run_setup(setup);
-}
-
-TEST(WindowedAvailability, MatchesAbsoluteKeyingAndRescan) {
-  RunSpec setup;
-  RunSpec absolute = setup;
-  absolute.incremental = true;
-  expect_identical(run_setup(absolute), run_windowed(setup));
-  expect_identical(run_setup(setup), run_windowed(setup));
-}
-
-TEST(WindowedAvailability, ChurnMatchesAbsoluteKeying) {
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  RunSpec absolute = setup;
-  absolute.incremental = true;
-  expect_identical(run_setup(absolute), run_windowed(setup));
-}
-
-TEST(WindowedAvailability, MultiSwitchMatchesRescan) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_windowed(setup));
-}
-
-TEST(WindowedAvailability, LockstepChurnMatchesRescan) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_windowed(setup));
-}
-
-TEST(WindowedAvailability, ComposesWithParallelDelivery) {
-  // Window slides happen in the tick pre phase and the delivery wave's
-  // merge lanes apply journalled deltas against the windowed slots — the
-  // full composition must still match the plain sequential engine.
-  RunSpec setup;
-  setup.seed = 47;
-  RunSpec stacked = setup;
-  stacked.windowed = true;
-  stacked.parallel = 4;
-  expect_identical(run_setup(setup), run_setup(stacked));
-}
-
-TEST(WindowedAvailability, WindowedChurnRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 53;
-  setup.windowed = true;
-  setup.batch = true;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
-
-// ---------------------------------------------------------------------------
-// The million-peer memory plane must be *observably invisible* exactly like
-// every mechanism before it: the same seed with peer_pool on and off — flat
-// open-addressed pending maps instead of unordered_map nodes, ring-backed
-// stream buffers instead of deque+map, the bounded arrival ring instead of
-// std::map, and the per-tick plan arena on the sequential path — has to
-// reproduce every metric bit for bit, across algorithms, churn, capacity
-// models, multi-switch timelines, availability modes, dispatch modes and
-// every shard count.  Only bytes/peer and allocation traffic may change.
-
-RunOutput run_pooled(RunSpec setup) {
-  setup.peer_pool = true;
-  return run_setup(setup);
-}
-
-TEST(PeerPool, FastSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, NormalSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, ChurnMatchesLegacyContainers) {
-  // Churn exercises joiner pool growth (bind after emplace), leaver pending
-  // erasure through the flat map and buffer teardown through the ring.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, TokenBucketCapacityMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 29;
-  setup.token_bucket = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, MultiSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, EveryShardCountMatchesLegacySequential) {
-  // The arena only engages at shards=0; the sharded counts prove the flat
-  // containers stay invisible when the plan wave runs without it.
-  RunSpec setup;
-  const RunOutput legacy = run_setup(setup);
-  for (const std::size_t shards : {0u, 1u, 4u, 7u}) {
-    RunSpec pooled = setup;
-    pooled.parallel = shards;
-    expect_identical(legacy, run_pooled(pooled));
-  }
-}
-
-TEST(PeerPool, BatchIncrementalWindowedComposes) {
-  // The full mechanism stack with the memory plane on top: batched
-  // dispatch, delta-maintained windowed views, flat containers and the
-  // plan arena at once.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  stacked.windowed = true;
-  expect_identical(run_setup(setup), run_pooled(stacked));
-}
-
-TEST(PeerPool, LockstepChurnMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, PooledChurnRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 61;
-  setup.peer_pool = true;
-  setup.churn = true;
-  setup.windowed = true;
-  setup.parallel = 4;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
-
 // The flash-crowd scenario rides the regular join path, so it must be a
-// pure workload knob: deterministic for a fixed seed, identical with the
-// memory plane on and off, and it must admit exactly the configured crowd.
+// pure workload knob: deterministic for a fixed seed, and it must admit
+// exactly the configured crowd.
 
-TEST(PeerPool, FlashCrowdMatchesAcrossMemoryPlanes) {
-  RunSpec setup;
-  setup.seed = 67;
-  setup.flash_joins = 40;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, FlashCrowdRunsReproduceThemselves) {
+TEST(FlashCrowd, RunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 71;
   setup.flash_joins = 40;
-  setup.peer_pool = true;
-  setup.batch = true;
-  setup.windowed = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
-TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
+TEST(FlashCrowd, AdmitsTheConfiguredCrowd) {
   RunSpec setup;
   setup.seed = 73;
   setup.flash_joins = 40;
@@ -856,23 +455,21 @@ TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
 TEST(PeerPool, ReportsMemoryTelemetry) {
   RunSpec setup;
   setup.seed = 79;
-  const RunOutput legacy = run_setup(setup);
-  const RunOutput pooled = run_pooled(setup);
-  EXPECT_GT(legacy.stats.peer_state_bytes, 0u);
-  EXPECT_GT(pooled.stats.peer_state_bytes, 0u);
-  EXPECT_GT(legacy.stats.bytes_per_peer, 0.0);
-  EXPECT_LT(pooled.stats.bytes_per_peer, legacy.stats.bytes_per_peer)
-      << "the flat containers should shrink the per-peer footprint";
+  const RunOutput out = run_setup(setup);
+  EXPECT_GT(out.stats.peer_state_bytes, 0u);
+  EXPECT_GT(out.stats.bytes_per_peer, 0.0);
+  // bytes_per_peer averages over every peer the run ever had.
+  EXPECT_NEAR(out.stats.bytes_per_peer * static_cast<double>(50 + out.stats.joins),
+              static_cast<double>(out.stats.peer_state_bytes), 1.0);
 }
 
 // ---------------------------------------------------------------------------
 // CDN-assisted fast switch.  Unlike the mechanism flags above, the assist
 // changes dynamics *by design*; what must hold is (a) fixed-seed runs with
 // the assist on reproduce themselves bit for bit, (b) the assist composes
-// with every mechanism flag — identical metrics at every shard count and
-// across the memory planes — and (c) with the assist off nothing changes
-// (covered implicitly by every other suite here: those runs never construct
-// the plane).
+// with the sharded core — identical metrics at every shard count — and (c)
+// with the assist off nothing changes (covered implicitly by every other
+// suite here: those runs never construct the plane).
 
 RunOutput run_assisted(RunSpec setup) {
   setup.cdn = true;
@@ -904,25 +501,6 @@ TEST(CdnAssist, AssistedMetricsIdenticalAtEveryShardCount) {
     sharded.parallel = shards;
     expect_identical(sequential, run_setup(sharded));
   }
-}
-
-TEST(CdnAssist, AssistComposesWithMemoryPlane) {
-  RunSpec setup;
-  setup.seed = 101;
-  setup.cdn = true;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_setup(pooled));
-}
-
-TEST(CdnAssist, AssistComposesWithBatchedIncrementalWindowed) {
-  RunSpec setup;
-  setup.seed = 103;
-  setup.cdn = true;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  stacked.windowed = true;
-  expect_identical(run_setup(setup), run_setup(stacked));
 }
 
 TEST(CdnAssist, AssistedFlashCrowdReproducesItself) {
@@ -961,7 +539,7 @@ TEST(CdnAssist, AssistActuallyServes) {
 // pass splits delivery bookkeeping into a parallel per-target phase plus a
 // sequential tail that replays the global pop order.  Both are pure
 // mechanism: fixed-seed metrics must match the member-order commit loop bit
-// for bit at every shard count and composed with every other flag.  Only
+// for bit at every shard count and composed with every model flag.  Only
 // wall clock and the commit diagnostics (commit_colour_classes /
 // commit_conflict_fixups / parallel_commits / parallel_books) may change.
 
@@ -1020,25 +598,6 @@ TEST(ParallelCommit, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_commit(setup, 4));
 }
 
-TEST(ParallelCommit, BatchIncrementalWindowedComposes) {
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  stacked.windowed = true;
-  expect_identical(run_setup(setup), run_commit(stacked, 4));
-  expect_identical(run_setup(setup), run_commit(stacked, 7));
-}
-
-TEST(ParallelCommit, PeerPoolComposes) {
-  RunSpec setup;
-  setup.seed = 47;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_commit(pooled, 4));
-  expect_identical(run_setup(setup), run_commit(pooled, 4, /*commit=*/false));
-}
-
 TEST(ParallelCommit, CdnAssistComposes) {
   // The final drain interleaves cdn_assist_tick in member order; assisted
   // runs must not notice whether commits were staged or inline.
@@ -1075,14 +634,12 @@ TEST(ParallelCommit, CommitRunsReproduceThemselves) {
   setup.seed = 61;
   setup.parallel = 7;
   setup.churn = true;
-  setup.incremental = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
 TEST(ParallelCommit, CommitDiagnosticsReportWork) {
   RunSpec setup;
   setup.seed = 31;
-  setup.incremental = true;
   const RunOutput sequential = run_setup(setup);
   const RunOutput waved = run_commit(setup, 4);
   const RunOutput unwaved = run_commit(setup, 4, /*commit=*/false);
@@ -1214,25 +771,20 @@ TEST(TimingWheel, CdnAssistMatchesHeapBackend) {
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
 
-TEST(TimingWheel, FlashCrowdPeerPoolMatchesHeapBackend) {
+TEST(TimingWheel, FlashCrowdMatchesHeapBackend) {
   RunSpec setup;
   setup.seed = 76;
   setup.parallel = 4;
-  setup.peer_pool = true;
   setup.flash_joins = 30;
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
 
 TEST(TimingWheel, FullCompositionMatchesHeapBackend) {
-  // The kitchen sink: churn + incremental availability + windowed views +
-  // peer pool + token-bucket capacity on 7 shards.
+  // The kitchen sink: churn + token-bucket capacity on 7 shards.
   RunSpec setup;
   setup.seed = 77;
   setup.parallel = 7;
   setup.churn = true;
-  setup.incremental = true;
-  setup.windowed = true;
-  setup.peer_pool = true;
   setup.token_bucket = true;
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
@@ -1259,7 +811,7 @@ TEST(TimingWheel, WheelRunsReproduceThemselvesAndReportTelemetry) {
 // identical candidate list, supplier order and supplier values the
 // segment-major build does.  So fixed-seed metrics must be bit-identical
 // gate on vs off — across shard counts and composed with every other flag
-// family, in both availability modes.
+// family.
 
 RunOutput run_gate(RunSpec setup, bool gate) {
   setup.gate = gate;
@@ -1272,11 +824,10 @@ TEST(PlanGate, SequentialRunMatchesUngated) {
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, SingleShardIncrementalMatchesUngated) {
+TEST(PlanGate, SingleShardMatchesUngated) {
   RunSpec setup;
   setup.seed = 82;
   setup.parallel = 1;
-  setup.incremental = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
@@ -1285,15 +836,13 @@ TEST(PlanGate, ShardedChurnMatchesUngated) {
   setup.seed = 83;
   setup.parallel = 4;
   setup.churn = true;
-  setup.incremental = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, SevenShardMultiSwitchWindowedMatchesUngated) {
+TEST(PlanGate, SevenShardMultiSwitchMatchesUngated) {
   RunSpec setup;
   setup.seed = 84;
   setup.parallel = 7;
-  setup.windowed = true;
   setup.sources = {0, 1, 2};
   setup.switch_times = {0.0, 40.0};
   expect_identical(run_gate(setup, false), run_gate(setup, true));
@@ -1304,50 +853,24 @@ TEST(PlanGate, CdnAssistMatchesUngated) {
   setup.seed = 85;
   setup.parallel = 4;
   setup.cdn = true;
-  setup.windowed = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, FlashCrowdPeerPoolMatchesUngated) {
+TEST(PlanGate, FlashCrowdMatchesUngated) {
   RunSpec setup;
   setup.seed = 86;
   setup.parallel = 4;
-  setup.peer_pool = true;
   setup.flash_joins = 30;
-  setup.incremental = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
 TEST(PlanGate, FullCompositionMatchesUngated) {
-  // The kitchen sink: churn + batched dispatch + windowed views + peer
-  // pool + token-bucket capacity on 7 shards.
+  // The kitchen sink: churn + token-bucket capacity on 7 shards.
   RunSpec setup;
   setup.seed = 87;
   setup.parallel = 7;
   setup.churn = true;
-  setup.batch = true;
-  setup.windowed = true;
-  setup.peer_pool = true;
   setup.token_bucket = true;
-  expect_identical(run_gate(setup, false), run_gate(setup, true));
-}
-
-TEST(PlanGate, LegacyRescanMatchesUngated) {
-  // plan_gate_legacy maintains a gate-only index under the legacy rescan
-  // scheduler; the scheduler must keep reading its own rescans (candidate
-  // lists, boundary discovery) exactly as if no index existed.
-  RunSpec setup;
-  setup.seed = 88;
-  setup.gate_legacy = true;
-  expect_identical(run_gate(setup, false), run_gate(setup, true));
-}
-
-TEST(PlanGate, LegacyChurnShardedMatchesUngated) {
-  RunSpec setup;
-  setup.seed = 89;
-  setup.gate_legacy = true;
-  setup.churn = true;
-  setup.parallel = 4;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
@@ -1359,8 +882,6 @@ TEST(PlanGate, SteadySwarmMatchesUngatedAndActuallyGates) {
   RunSpec setup;
   setup.seed = 90;
   setup.steady = true;
-  setup.windowed = true;
-  setup.batch = true;
   const RunOutput gated = run_gate(setup, true);
   expect_identical(run_gate(setup, false), gated);
   EXPECT_GT(gated.stats.plans_gated, 0u)
@@ -1375,7 +896,6 @@ TEST(PlanGate, RecheckedRunsReproduceThemselvesAndPassTheCrossCheck) {
   RunSpec setup;
   setup.seed = 91;
   setup.steady = true;
-  setup.windowed = true;
   setup.gate_recheck = true;
   const RunOutput a = run_setup(setup);
   expect_identical(a, run_setup(setup));
@@ -1389,13 +909,61 @@ TEST(PlanGate, GatedRunsReproduceThemselvesAndReportTelemetry) {
   setup.seed = 92;
   setup.parallel = 4;
   setup.churn = true;
-  setup.windowed = true;
   const RunOutput a = run_setup(setup);
   expect_identical(a, run_setup(setup));
   EXPECT_GT(a.stats.plans_built, 0u) << "no plan ever built candidates";
   const RunOutput off = run_gate(setup, false);
   EXPECT_EQ(off.stats.plans_gated, 0u) << "gate off must report zero gated plans";
   EXPECT_EQ(off.stats.gate_rechecks, 0u);
+}
+
+// ------------------------------------------------------------- WarmStart ---
+//
+// The warm start seeds every peer's buffer, received set and playback on
+// the sharded core's lanes.  With a tick period far beyond the run, no peer
+// ever ticks, so the end-of-run peer state is exactly what the warm start
+// left — and it must not depend on the lane count.
+
+TEST(WarmStart, ShardCountsSeedIdenticalState) {
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+    util::Rng rng(7);
+    net::Graph graph = net::preferential_attachment(200, 2, rng);
+    net::repair_min_degree(graph, 5, rng);
+    std::vector<double> pings(200);
+    for (auto& ping : pings) ping = rng.uniform(20.0, 200.0);
+    EngineConfig config;
+    config.seed = 7;
+    config.tau = 1e6;  // no tick lands inside the run
+    config.warmup = 0.1;
+    config.horizon = 0.1;
+    config.parallel_shards = shards;
+    engines.push_back(std::make_unique<Engine>(std::move(graph),
+                                               net::LatencyModel(std::move(pings)), config,
+                                               std::make_shared<core::FastSwitchScheduler>()));
+    engines.back()->set_sources({0, 1}, {0.0});
+    (void)engines.back()->run();
+    ASSERT_EQ(engines.back()->stats().requests_issued, 0u) << "a peer ticked during the run";
+  }
+  const Engine& a = *engines[0];
+  const Engine& b = *engines[1];
+  ASSERT_EQ(a.peer_count(), b.peer_count());
+  for (net::NodeId v = 0; v < a.peer_count(); ++v) {
+    const PeerNode& p = a.peer(v);
+    const PeerNode& q = b.peer(v);
+    ASSERT_EQ(p.received, q.received) << "peer " << v;
+    ASSERT_EQ(p.buffer.presence(), q.buffer.presence()) << "peer " << v;
+    EXPECT_EQ(p.buffer.size(), q.buffer.size()) << "peer " << v;
+    EXPECT_EQ(p.buffer.oldest(), q.buffer.oldest()) << "peer " << v;
+    EXPECT_EQ(p.buffer.newest(), q.buffer.newest()) << "peer " << v;
+    EXPECT_EQ(p.buffer.position_from_tail(p.buffer.oldest()),
+              q.buffer.position_from_tail(q.buffer.oldest()))
+        << "peer " << v;
+    EXPECT_EQ(p.playback.started(), q.playback.started()) << "peer " << v;
+    EXPECT_EQ(p.playback.cursor(), q.playback.cursor()) << "peer " << v;
+    EXPECT_EQ(p.start_run(), q.start_run()) << "peer " << v;
+  }
+  EXPECT_GT(a.peer(5).buffer.size(), 0u) << "warm start seeded nothing";
 }
 
 TEST(Determinism, DifferentSeedsProduceDifferentRuns) {

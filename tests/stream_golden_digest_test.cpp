@@ -5,9 +5,9 @@
 // popped, availability probes, index updates, plans gated / built), so any
 // refactor of the engine's data path that changes an outcome or the work
 // the engine reports fails here.  The digests were captured with the
-// delta-maintained windowed availability plane, the peer pool and batched
-// dispatch on — the engine's only path since — and the same scenarios run
-// with those planes off produced identical SwitchMetrics.
+// windowed availability plane, the flat peer containers and batched tick
+// dispatch (then optional, now the only path) switched on; the same
+// scenarios with them off gave identical SwitchMetrics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,7 +92,7 @@ struct Digests {
   std::uint64_t full = 0;     ///< SwitchMetrics + deterministic counters
 };
 
-Digests run_digest(const Scenario& s, bool planes = true) {
+Digests run_digest(const Scenario& s) {
   util::Rng rng(s.seed);
   net::Graph graph = net::preferential_attachment(50, 2, rng);
   net::repair_min_degree(graph, 5, rng);
@@ -113,10 +113,6 @@ Digests run_digest(const Scenario& s, bool planes = true) {
   config.flash_crowd_joins = s.flash_joins;
   config.cdn_assist = s.cdn;
   config.parallel_shards = s.parallel;
-  config.batch_dispatch = planes;
-  config.incremental_availability = planes || s.delta_maps;
-  config.windowed_availability = planes;
-  config.peer_pool = planes;
 
   std::shared_ptr<SchedulerStrategy> strategy;
   if (s.fast) {
@@ -240,12 +236,6 @@ TEST(GoldenDigest, ShardCountsAgreeOnEveryMetric) {
   }
   ASSERT_EQ(metrics.size(), 4u);
   for (const std::uint64_t m : metrics) EXPECT_EQ(m, metrics.front());
-}
-
-TEST(GoldenDigest, PlanesOffGiveIdenticalMetrics) {
-  for (const Scenario& s : scenarios()) {
-    EXPECT_EQ(run_digest(s, false).metrics, run_digest(s, true).metrics) << s.name;
-  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // CSV writer, flags parser, thread pool, logging helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/csv.hpp"
 #include "util/flags.hpp"
@@ -226,6 +228,22 @@ TEST(ThreadPool, RunBatchMoreLanesThanWork) {
   std::vector<std::atomic<int>> hits(3);
   pool.run_batch(3, 16, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, RunChunksCoversEveryIndexOnceInContiguousChunks) {
+  for (const std::size_t n : {0u, 1u, 5u, 1000u}) {
+    for (const std::size_t lanes : {0u, 1u, 3u, 8u}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> calls{0};
+      run_chunks(n, lanes, [&](std::size_t begin, std::size_t end) {
+        EXPECT_LE(begin, end);
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        calls.fetch_add(1);
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n " << n << " lanes " << lanes;
+      EXPECT_EQ(calls.load(), static_cast<int>(std::max<std::size_t>(1, lanes)));
+    }
+  }
 }
 
 TEST(Logging, ParseLevels) {
