@@ -96,7 +96,9 @@ void Config::validate() const {
       throw std::invalid_argument("churn fractions must be in [0, 1)");
     }
   }
-  if (engine.push_fanout == 0) throw std::invalid_argument("push_fanout must be >= 1");
+  if (engine.push_fresh_segments && engine.push_fanout == 0) {
+    throw std::invalid_argument("push_fanout must be >= 1 when push is on");
+  }
   if (engine.tick_shard_size == 0) {
     throw std::invalid_argument("tick_shard_size must be >= 1");
   }

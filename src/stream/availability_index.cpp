@@ -20,12 +20,6 @@ std::size_t owner_anchor(const PeerNode& p) {
 
 }  // namespace
 
-void AvailabilityIndex::set_window(std::size_t span_bits) {
-  GS_CHECK(!built_) << "set_window must precede build()";
-  GS_CHECK_GT(span_bits, 0u);
-  window_span_ = (span_bits + kWordBits - 1) / kWordBits * kWordBits;
-}
-
 void AvailabilityIndex::enable_work_tracking(PeerPool* pool) {
   GS_CHECK(!built_) << "enable_work_tracking must precede build()";
   GS_CHECK(pool != nullptr);
@@ -34,8 +28,9 @@ void AvailabilityIndex::enable_work_tracking(PeerPool* pool) {
 }
 
 void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers,
-                              std::size_t lanes) {
-  GS_CHECK_GT(window_span_, 0u) << "set_window must precede build()";
+                              std::size_t span_bits, std::size_t lanes) {
+  GS_CHECK_GT(span_bits, 0u);
+  window_span_ = (span_bits + kWordBits - 1) / kWordBits * kWordBits;
   // Every allocation happens here, on the calling thread: fills on pool
   // threads would scatter the views over per-thread malloc arenas.
   views_.assign(peers.size(), View{});

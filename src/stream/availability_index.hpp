@@ -101,18 +101,16 @@ class AvailabilityIndex {
   /// build(); the pool must outlive the index.
   void enable_work_tracking(PeerPool* pool);
 
-  /// Sets the supplier-count window to `span_bits` ids (rounded up to a
-  /// word multiple) anchored at each owner's playback cursor.  Must be
-  /// called before build().
-  void set_window(std::size_t span_bits);
-
   /// Builds every live non-source peer's view from the current buffers and
   /// enables event maintenance.  Call once, after setup/warm-start filled
-  /// the buffers and before the simulation loop delivers anything.  The
-  /// views fill on up to `lanes` pool lanes (inline for lanes <= 1); each
-  /// fill writes only its own view and pool lane, so the result does not
-  /// depend on the lane count.
-  void build(const net::Graph& graph, const std::vector<PeerNode>& peers, std::size_t lanes = 0);
+  /// the buffers and before the simulation loop delivers anything.  Each
+  /// view counts a window of `span_bits` ids (rounded up to a word
+  /// multiple) anchored at its owner's playback cursor.  The views fill on
+  /// up to `lanes` pool lanes (inline for lanes <= 1); each fill writes
+  /// only its own view and pool lane, so the result does not depend on the
+  /// lane count.
+  void build(const net::Graph& graph, const std::vector<PeerNode>& peers, std::size_t span_bits,
+             std::size_t lanes = 0);
 
   /// `owner`'s buffer gained `id` (delivery or local generation).
   void on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id);
@@ -209,7 +207,7 @@ class AvailabilityIndex {
   bool built_ = false;
   bool track_work_ = false;
   PeerPool* pool_ = nullptr;
-  /// Window span in bits (a multiple of 64; set_window).
+  /// Window span in bits (a multiple of 64; fixed by build).
   std::size_t window_span_ = 0;
   std::vector<View> views_;
   std::uint64_t updates_ = 0;

@@ -74,7 +74,11 @@ TEST(Config, RejectsEachMeaninglessEngineSetting) {
       {"playback_rate = 0", [](stream::EngineConfig& e) { e.playback_rate = 0.0; }},
       {"horizon = 0", [](stream::EngineConfig& e) { e.horizon = 0.0; }},
       {"horizon NaN", [](stream::EngineConfig& e) { e.horizon = std::nan(""); }},
-      {"push_fanout = 0", [](stream::EngineConfig& e) { e.push_fanout = 0; }},
+      {"push on, push_fanout = 0",
+       [](stream::EngineConfig& e) {
+         e.push_fresh_segments = true;
+         e.push_fanout = 0;
+       }},
   };
   ASSERT_NO_THROW(Config::paper_static(100, AlgorithmKind::kFast).validate());
   for (const auto& c : cases) {
@@ -91,6 +95,12 @@ TEST(Config, RejectsEachMeaninglessEngineSetting) {
   Config edge = Config::paper_static(100, AlgorithmKind::kFast);
   edge.engine.q_consecutive = edge.engine.q_startup = edge.engine.buffer_capacity;
   EXPECT_NO_THROW(edge.validate());
+  // A zero fanout is meaningless only with push on; push off with fanout 0
+  // is the push-pull bench's baseline row.
+  Config push_off = Config::paper_static(100, AlgorithmKind::kFast);
+  push_off.engine.push_fresh_segments = false;
+  push_off.engine.push_fanout = 0;
+  EXPECT_NO_THROW(push_off.validate());
 }
 
 TEST(Config, EnumStringRoundTrip) {

@@ -150,9 +150,8 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
     }
   }
 
-  s.index.set_window(256);
   s.index.enable_work_tracking(&s.pool);
-  s.index.build(s.graph, s.peers);
+  s.index.build(s.graph, s.peers, 256);
   for (net::NodeId v = 1; v < kCore; ++v) s.built[v] = true;
   verify_views(s);
 
@@ -295,9 +294,8 @@ TEST_P(AvailabilityIndexBuildTest, WordParallelBuildEqualsPerBitRecount) {
       if (topo.uniform_int(0, 9) == 0) s.pool.alive(v) = 0;
     }
     s.pool.is_source(0) = 1;
-    s.index.set_window(kSpan);
     s.index.enable_work_tracking(&s.pool);
-    s.index.build(s.graph, s.peers, lanes);
+    s.index.build(s.graph, s.peers, kSpan, lanes);
     for (net::NodeId v = 0; v < kPeers; ++v) {
       if (!s.peers[v].alive() || s.peers[v].is_source()) continue;
       const AvailabilityIndex::View& w = s.index.view(v);
