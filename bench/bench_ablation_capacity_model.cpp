@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return *status;
 
   for (const auto model : {gs::stream::SupplierCapacityModel::kSharedFifo,
                            gs::stream::SupplierCapacityModel::kPerLink,

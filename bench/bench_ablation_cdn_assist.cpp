@@ -121,9 +121,10 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  if (!gs::benchtool::parse_bench_flags(static_cast<int>(rest.size()), rest.data(), options,
-                                        "500,1000,2000")) {
-    return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(static_cast<int>(rest.size()),
+                                                           rest.data(), options,
+                                                           "500,1000,2000")) {
+    return *status;
   }
 
   gs::exp::Config base =

@@ -4,7 +4,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "1000")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "1000")) return *status;
   const std::size_t nodes = options.sizes.empty() ? 1000 : options.sizes.front();
 
   std::printf("=== A2: neighbour count M sweep (%zu nodes, fast switch) ===\n", nodes);

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "300")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "300")) return *status;
   const std::size_t nodes = options.sizes.empty() ? 300 : options.sizes.front();
 
   std::printf("=== A5: diversity reservation, cold-start live streaming (%zu nodes) ===\n",

@@ -4,7 +4,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return *status;
 
   std::printf("=== A1: rarity definition ablation (fast switch algorithm) ===\n");
   std::printf("%8s  %22s  %22s\n", "nodes", "switch_time(eq.8)", "switch_time(1/n)");

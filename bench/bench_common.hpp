@@ -4,8 +4,11 @@
 // full suite can be run fast in CI (`--quick`) or at paper scale (default).
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "experiments/config.hpp"
@@ -63,9 +66,12 @@ struct BenchOptions {
   }
 };
 
-/// Parses the standard bench flags.  Returns false if --help was printed.
-inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
-                              const std::string& default_sizes = "100,500,1000,2000,4000,8000") {
+/// Parses the standard bench flags.  Returns std::nullopt to carry on, or
+/// the exit status main should return: 0 after --help, 2 after a bad flag
+/// (its message and the usage printed to stderr).
+inline std::optional<int> parse_bench_flags(
+    int argc, char** argv, BenchOptions& options,
+    const std::string& default_sizes = "100,500,1000,2000,4000,8000") {
   util::Flags flags;
   flags.define("sizes", default_sizes, "comma-separated overlay sizes");
   flags.define_int("trials", 3, "paired trials per size");
@@ -113,7 +119,7 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
                       "buffered lead (s) under which a paused burst resumes");
   flags.define("csv", "", "optional CSV output path");
   flags.define("log", "warn", "log level");
-  if (!flags.parse(argc, argv)) return false;
+  if (const auto status = flags.parse_cli(argc, argv)) return status;
   util::set_log_level(util::parse_log_level(flags.get("log")));
 
   options.trials = static_cast<std::size_t>(flags.get_int("trials"));
@@ -143,11 +149,21 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   while (pos < list.size()) {
     const std::size_t comma = list.find(',', pos);
     const std::string token = list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) options.sizes.push_back(static_cast<std::size_t>(std::stoull(token)));
+    if (!token.empty()) {
+      std::size_t size = 0;
+      const char* end = token.data() + token.size();
+      const auto parsed = std::from_chars(token.data(), end, size);
+      if (parsed.ec != std::errc{} || parsed.ptr != end) {
+        std::fprintf(stderr, "%s: flag --sizes: not a size: %s\n%s", argv[0], token.c_str(),
+                     flags.usage(argv[0]).c_str());
+        return 2;
+      }
+      options.sizes.push_back(size);
+    }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace gs::benchtool

@@ -5,7 +5,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "500")) return *status;
   const std::size_t nodes = options.sizes.empty() ? 500 : options.sizes.front();
 
   std::printf("=== E2: four speakers in series (%zu nodes) ===\n", nodes);

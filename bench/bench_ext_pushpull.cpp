@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return *status;
 
   std::printf("=== E1: push-pull extension (fast switch + fresh-segment push) ===\n");
   std::printf("%8s %8s  %14s  %14s  %12s  %14s\n", "nodes", "fanout", "avg_switch",

@@ -69,7 +69,7 @@ void print_order(const char* label, const std::vector<gs::stream::ScheduledReque
 
 int main(int argc, char** argv) {
   gs::util::Flags flags;
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
 
   std::printf("=== Fig. 2: delivery order, budget 7/period, 5xS1 + 5xS2 available ===\n");
   const ScheduleContext ctx = fig2_context();

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options)) return 0;
+  if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options)) return *status;
 
   gs::exp::Config base =
       gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast, options.seed);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   flags.define_double("churn", 0.05, "leave/join fraction per scheduling period");
   flags.define_int("seed", 33, "experiment seed");
   flags.define("log", "warn", "log level");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
 
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes"));

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   flags.define("algorithm", "fast", "fast|normal");
   flags.define("capacity", "shared-fifo", "supplier capacity model: shared-fifo|per-link");
   flags.define_bool("dynamic", false, "apply churn");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
 
   gs::exp::Config config = gs::exp::Config::paper_static(
       static_cast<std::size_t>(flags.get_int("nodes")),

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   flags.define_double("inbound", 15.0, "I: total inbound rate (segments/s)");
   flags.define_double("o1", -1.0, "O1 cap: outbound rate available for S1 (-1 = uncapped)");
   flags.define_double("o2", -1.0, "O2 cap: outbound rate available for S2 (-1 = uncapped)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
 
   gs::core::SplitInput in;
   in.q1 = flags.get_double("q1");

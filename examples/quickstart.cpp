@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   flags.define_int("seed", 7, "experiment seed");
   flags.define_bool("dynamic", false, "apply 5%/5% churn per period");
   flags.define("log", "warn", "log level (debug|info|warn|error|off)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
 
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes"));

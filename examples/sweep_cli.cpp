@@ -5,10 +5,12 @@
 //   ./sweep_cli --sizes 200,1000 --trials 3 --topology ring --churn 0.05
 //   ./sweep_cli --sizes 500 --qs 80 --neighbor 7 --capacity-model per-link --csv out.csv
 //   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 4
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "experiments/config.hpp"
@@ -26,7 +28,15 @@ std::vector<std::size_t> parse_sizes(const std::string& list) {
     const std::size_t comma = list.find(',', pos);
     const std::string token =
         list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) sizes.push_back(static_cast<std::size_t>(std::stoull(token)));
+    if (!token.empty()) {
+      std::size_t size = 0;
+      const char* end = token.data() + token.size();
+      const auto parsed = std::from_chars(token.data(), end, size);
+      if (parsed.ec != std::errc{} || parsed.ptr != end) {
+        throw std::invalid_argument("flag --sizes: not a size: " + token);
+      }
+      sizes.push_back(size);
+    }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -104,7 +114,7 @@ int main(int argc, char** argv) {
   flags.define_int("push-fanout", 2, "push fanout when --push");
   flags.define("csv", "", "write the comparison table to this CSV");
   flags.define("log", "warn", "log level");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
 
   gs::exp::Config base = gs::exp::Config::paper_static(
@@ -142,9 +152,10 @@ int main(int argc, char** argv) {
   base.engine.cdn_assist_resume_s = flags.get_double("cdn-resume");
   base.engine.cdn_assist_span = static_cast<std::size_t>(flags.get_int("cdn-span"));
 
-  const auto sizes = parse_sizes(flags.get("sizes"));
   // Reject a meaningless configuration with its reason before any run.
+  std::vector<std::size_t> sizes;
   try {
+    sizes = parse_sizes(flags.get("sizes"));
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
       config.node_count = n;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   flags.define("in", "", "load an existing trace file instead of synthesizing");
   flags.define("out", "", "write the (pre-repair) trace to this file");
   flags.define_int("repair-degree", 5, "the paper's M");
-  if (!flags.parse(argc, argv)) return 0;
+  if (const auto status = flags.parse_cli(argc, argv)) return *status;
 
   gs::net::Trace trace;
   if (!flags.get("in").empty()) {

@@ -1,6 +1,8 @@
 #include "core/supplier_selection.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -12,8 +14,14 @@ std::vector<Assignment> greedy_assign(const stream::ScheduleContext& ctx,
   GS_CHECK_EQ(candidates.size(), priorities.size());
   std::vector<Assignment> accepted;
   accepted.reserve(candidates.size());
-  // tau(j): local queueing bookkeeping, lazily initialised per supplier.
-  std::unordered_map<net::NodeId, double> queue_time;
+  // tau(j): local queueing bookkeeping, one (node, queued time) pair per
+  // supplier chosen so far.  A candidate's suppliers are the peer's handful
+  // of alive neighbours, so a linear scan beats hashing.
+  std::vector<std::pair<net::NodeId, double>> queue_time;
+  const auto queued_entry = [&queue_time](net::NodeId node) {
+    return std::find_if(queue_time.begin(), queue_time.end(),
+                        [node](const auto& entry) { return entry.first == node; });
+  };
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const stream::CandidateSegment& c = candidates[i];
@@ -22,7 +30,7 @@ std::vector<Assignment> greedy_assign(const stream::ScheduleContext& ctx,
     for (const stream::SupplierView& s : c.suppliers) {
       if (s.send_rate <= 0.0) continue;
       const double transfer = 1.0 / s.send_rate;
-      auto it = queue_time.find(s.node);
+      const auto it = queued_entry(s.node);
       const double queued = (it == queue_time.end() ? s.queue_delay : it->second);
       const double t = queued + transfer;
       // Paper line 13: accept only suppliers delivering within the period.
@@ -32,7 +40,12 @@ std::vector<Assignment> greedy_assign(const stream::ScheduleContext& ctx,
       }
     }
     if (best == nullptr) continue;
-    queue_time[best->node] = best_time;  // paper line 18
+    // paper line 18
+    if (const auto it = queued_entry(best->node); it != queue_time.end()) {
+      it->second = best_time;
+    } else {
+      queue_time.emplace_back(best->node, best_time);
+    }
     Assignment a;
     a.id = c.id;
     a.supplier = best->node;

@@ -9,7 +9,6 @@
 // this greedy keeps high-priority segments earliest, as in the paper.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "stream/scheduler.hpp"

@@ -34,15 +34,33 @@ EventQueue::WheelTelemetry EventQueue::wheel_telemetry() const noexcept {
   return out;
 }
 
+std::uint64_t EventQueue::park_action(std::function<void()> action) {
+  if (free_actions_.empty()) {
+    actions_.push_back(std::move(action));
+    return actions_.size() - 1;
+  }
+  const std::uint64_t slot = free_actions_.back();
+  free_actions_.pop_back();
+  actions_[slot] = std::move(action);
+  return slot;
+}
+
+std::function<void()> EventQueue::take_action(std::uint64_t slot) {
+  std::function<void()> action = std::move(actions_[slot]);
+  actions_[slot] = nullptr;  // release the captures even if the move copied
+  free_actions_.push_back(slot);
+  return action;
+}
+
 EventId EventQueue::push_entry(std::size_t shard, Entry entry) {
   GS_CHECK_LT(shard, shard_count());
   entry.id = next_id_++;
   const EventId id = entry.id;
   if (wheel_on_) {
-    wheels_[shard].push(std::move(entry));
+    wheels_[shard].push(entry);
   } else {
     std::vector<Entry>& heap = heaps_[shard];
-    heap.push_back(std::move(entry));
+    heap.push_back(entry);
     std::push_heap(heap.begin(), heap.end(), Later{});
   }
   ++live_;
@@ -61,8 +79,8 @@ EventId EventQueue::schedule(Time at, EventSink& sink, std::uint64_t a, std::uin
 EventId EventQueue::schedule_on(std::size_t shard, Time at, std::function<void()> action) {
   Entry entry;
   entry.at = at;
-  entry.action = std::move(action);
-  return push_entry(shard, std::move(entry));
+  entry.a = park_action(std::move(action));
+  return push_entry(shard, entry);
 }
 
 EventId EventQueue::schedule_on(std::size_t shard, Time at, EventSink& sink, std::uint64_t a,
@@ -72,7 +90,7 @@ EventId EventQueue::schedule_on(std::size_t shard, Time at, EventSink& sink, std
   entry.sink = &sink;
   entry.a = a;
   entry.b = b;
-  return push_entry(shard, std::move(entry));
+  return push_entry(shard, entry);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -124,7 +142,7 @@ EventQueue::Entry EventQueue::shard_take(std::size_t shard) {
   if (wheel_on_) return wheels_[shard].pop();
   std::vector<Entry>& heap = heaps_[shard];
   std::pop_heap(heap.begin(), heap.end(), Later{});
-  Entry entry = std::move(heap.back());
+  const Entry entry = heap.back();
   heap.pop_back();
   return entry;
 }
@@ -134,7 +152,8 @@ void EventQueue::skip_cancelled(std::size_t shard) {
     const auto it = cancelled_.find(shard_head(shard).id);
     if (it == cancelled_.end()) return;
     cancelled_.erase(it);
-    shard_take(shard);
+    const Entry dropped = shard_take(shard);
+    if (dropped.sink == nullptr) static_cast<void>(take_action(dropped.a));
   }
 }
 
@@ -172,13 +191,13 @@ Time EventQueue::pop_and_run(std::size_t* shard_out) {
   GS_CHECK(!empty());
   const std::size_t shard = top_shard();
   if (shard_out != nullptr) *shard_out = shard;
-  Entry entry = shard_take(shard);
+  const Entry entry = shard_take(shard);
   --live_;
   cached_top_ = kNoShard;
   if (entry.sink != nullptr) {
     entry.sink->on_event(entry.a, entry.b);
   } else {
-    entry.action();
+    take_action(entry.a)();
   }
   return entry.at;
 }
@@ -219,6 +238,8 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
 void EventQueue::clear() noexcept {
   for (std::vector<Entry>& heap : heaps_) heap.clear();
   for (TimingWheel& wheel : wheels_) wheel.clear();
+  actions_.clear();
+  free_actions_.clear();
   cancelled_.clear();
   live_ = 0;
   cached_top_ = kNoShard;

@@ -25,7 +25,9 @@
 //
 // Two kinds of entry share the one sequence domain (so their mutual
 // ordering at a timestamp is still insertion order):
-//   - closure events: an arbitrary std::function<void()>;
+//   - closure events: an arbitrary std::function<void()>, parked in a
+//     queue-owned slab (a vector plus a free list) whose slot index the
+//     entry carries, so entries stay 40-byte trivially copyable records;
 //   - pooled plain-struct events: an EventSink* plus two payload words
 //     stored inline in the entry.  Scheduling one never allocates —
 //     the entry storage IS the pool — which is what keeps the hot delivery
@@ -166,7 +168,7 @@ class EventQueue {
   /// determinism guarantee.
   std::size_t pop_batch(Time limit, std::vector<PooledBatchItem>& out, EventSink** sink_out);
 
-  /// Drops all pending events.
+  /// Drops all pending events and the closure slab.
   void clear() noexcept;
 
  private:
@@ -178,8 +180,14 @@ class EventQueue {
   [[nodiscard]] bool shard_has(std::size_t shard) const;
   [[nodiscard]] const Entry& shard_head(std::size_t shard);
   Entry shard_take(std::size_t shard);
-  /// Removes cancelled entries sitting at `shard`'s head.
+  /// Removes cancelled entries sitting at `shard`'s head (a dropped
+  /// closure's slab slot is released with it).
   void skip_cancelled(std::size_t shard);
+  /// Closure slab: stores `action` in a free slot and returns its index.
+  [[nodiscard]] std::uint64_t park_action(std::function<void()> action);
+  /// Moves the action out of `slot` and frees the slot, so the action may
+  /// schedule further closures (reusing the slot) while it runs.
+  [[nodiscard]] std::function<void()> take_action(std::uint64_t slot);
   /// Shard holding the globally earliest live entry; requires !empty().
   /// Drops cancelled heads as a side effect and caches the winner so the
   /// usual next_time() + pop_and_run() pair scans the shard heads once.
@@ -198,6 +206,10 @@ class EventQueue {
   std::vector<TimingWheel> wheels_;
   bool wheel_on_ = false;
   double wheel_quantum_ = 1.0;
+  /// Closure slab indexed by a closure entry's payload word `a`; freed
+  /// slots (empty functions) are listed in free_actions_ for reuse.
+  std::vector<std::function<void()>> actions_;
+  std::vector<std::uint64_t> free_actions_;
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
   std::size_t live_ = 0;

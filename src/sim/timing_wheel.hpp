@@ -31,7 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 namespace gs::sim {
@@ -45,18 +45,22 @@ using EventId = std::uint64_t;
 
 class EventSink;
 
-/// One pending event.  Two kinds share the struct (and the sequence
-/// domain): closure events carry `action`; pooled plain-struct events carry
-/// a sink plus two inline payload words and never allocate.
+/// One pending event: five words, trivially copyable, so the wheel's
+/// bucket sorts and the heaps' sifts move 40 plain bytes.  Two kinds share
+/// the struct (and the sequence domain): pooled plain-struct events carry a
+/// sink plus two inline payload words and never allocate; closure events
+/// (sink == nullptr) carry in `a` the index of their action in the owning
+/// EventQueue's closure slab.
 struct QueueEntry {
   Time at = 0.0;
   EventId id = 0;
-  /// Non-null selects the pooled plain-struct path; `action` is unused.
+  /// Non-null selects the pooled plain-struct path.
   EventSink* sink = nullptr;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  std::function<void()> action;
 };
+static_assert(std::is_trivially_copyable_v<QueueEntry> && sizeof(QueueEntry) == 40,
+              "queue entries are moved and sorted as plain 40-byte records");
 
 /// "a fires after b" — the heap comparator: a max-heap under this order
 /// (std::push_heap/pop_heap) pops the earliest (time, sequence) entry first.

@@ -19,6 +19,19 @@ void StreamBuffer::grow_presence(SegmentId id) {
   }
 }
 
+void StreamBuffer::widen_window(Flat& f, SegmentId span) {
+  std::size_t slots = f.sequence.size();
+  while (slots <= static_cast<std::size_t>(span)) slots *= 2;
+  std::vector<std::uint32_t> wider(slots);
+  for (std::size_t i = 0; i < f.count; ++i) {
+    std::size_t slot = f.head + i;
+    if (slot >= f.ring.size()) slot -= f.ring.size();
+    const SegmentId held = f.ring[slot];
+    wider[static_cast<std::size_t>(held) & (slots - 1)] = f.sequence[slot_of(f, held)];
+  }
+  f.sequence = std::move(wider);
+}
+
 SegmentId StreamBuffer::insert(SegmentId id) {
   GS_CHECK_GE(id, 0);
   if (contains(id)) return kNoSegment;
@@ -33,9 +46,15 @@ SegmentId StreamBuffer::insert(SegmentId id) {
     victim = f.ring[f.head];
     f.head = f.head + 1 == f.ring.size() ? 0 : f.head + 1;
     --f.count;
-    f.sequence.erase(static_cast<std::int32_t>(victim));
     presence_.reset(static_cast<std::size_t>(victim));
     ++evictions_;
+    if (victim == min_id_) {
+      // The next held id is the next set presence bit: in-order arrival
+      // puts it right after the victim, so the scan is a word or two.  (An
+      // emptied ring finds none; the insert below resets the minimum.)
+      min_id_ = static_cast<SegmentId>(
+          presence_.find_first(static_cast<std::size_t>(victim) + 1));
+    }
     if (victim == max_id_) {
       // Rare: the max can only be evicted under heavy id reordering.
       max_id_ = kNoSegment;
@@ -59,13 +78,17 @@ SegmentId StreamBuffer::insert(SegmentId id) {
     f.ring = std::move(bigger);
     f.head = 0;
   }
+  min_id_ = f.count == 0 ? id : std::min(min_id_, id);
+  max_id_ = std::max(max_id_, id);
+  if (static_cast<std::size_t>(max_id_ - min_id_) >= f.sequence.size()) {
+    widen_window(f, max_id_ - min_id_);
+  }
   std::size_t tail = f.head + f.count;
   if (tail >= f.ring.size()) tail -= f.ring.size();
   f.ring[tail] = id;
   ++f.count;
-  f.sequence.set(static_cast<std::int32_t>(id), static_cast<std::uint32_t>(next_sequence_++));
+  f.sequence[slot_of(f, id)] = static_cast<std::uint32_t>(next_sequence_++);
   presence_.set(static_cast<std::size_t>(id));
-  max_id_ = std::max(max_id_, id);
   return victim;
 }
 
@@ -79,12 +102,11 @@ std::size_t StreamBuffer::position_from_tail(SegmentId id) const noexcept {
   // element at the tail, so the distance from the tail is the number of
   // later insertions plus one.  Evictions remove from the head and do not
   // change any survivor's distance from the tail.
-  if (flat_ == nullptr) return 0;
-  const std::uint32_t* seq = flat_->sequence.find(static_cast<std::int32_t>(id));
-  // uint32 wraparound subtraction: the distance is < capacity <= 2^32.
-  return seq == nullptr
-             ? 0
-             : static_cast<std::size_t>(static_cast<std::uint32_t>(next_sequence_) - *seq);
+  // A held id owns its window slot outright (the window exceeds the held
+  // span), and only held ids are ever read.  uint32 wraparound subtraction:
+  // the distance is < capacity <= 2^32.
+  if (!contains(id)) return 0;
+  return static_cast<std::uint32_t>(next_sequence_) - flat_->sequence[slot_of(*flat_, id)];
 }
 
 SegmentId StreamBuffer::oldest() const noexcept {
@@ -113,7 +135,8 @@ void StreamBuffer::build_map_into(std::size_t window_bits, gossip::BufferMap& ou
 std::size_t StreamBuffer::memory_bytes() const noexcept {
   std::size_t total = presence_.memory_bytes();
   if (flat_ != nullptr) {
-    total += flat_->ring.capacity() * sizeof(SegmentId) + flat_->sequence.memory_bytes();
+    total += flat_->ring.capacity() * sizeof(SegmentId) +
+             flat_->sequence.capacity() * sizeof(std::uint32_t);
   }
   return total;
 }

@@ -7,10 +7,14 @@
 // p_ij / B as the per-supplier replacement probability.
 //
 // Storage is a ring of at most `capacity` ids in insertion order plus a
-// FlatSegmentMap of insertion sequence numbers — two contiguous
-// allocations per peer instead of a deque chunk plus a heap node per held
-// segment, which is what makes 10^6 buffers fit.  The state is created
-// lazily on first insert, so an empty buffer owns no heap.
+// sequence window: a power-of-two array of insertion sequence numbers
+// indexed by `id & (size - 1)`.  The window is kept larger than the span of
+// held ids (max_id - min_id), so no two held ids share a slot and a
+// position lookup is one presence test plus one load — no hashing, no
+// probing, and eviction writes nothing.  Streaming arrival is nearly in id
+// order, so the span stays close to `capacity` and the window rarely grows.
+// Two contiguous allocations per peer, created lazily on first insert, so
+// an empty buffer owns no heap.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +24,6 @@
 
 #include "gossip/buffer_map.hpp"
 #include "util/bitset.hpp"
-#include "util/flat_map.hpp"
 
 namespace gs::stream {
 
@@ -54,6 +57,9 @@ class StreamBuffer {
   /// incrementally (streaming arrival is nearly in id order, so the max is
   /// almost always the last insert; eviction of the max triggers a rescan).
   [[nodiscard]] SegmentId max_id() const noexcept { return max_id_; }
+  /// Lowest segment id currently held; kNoSegment when empty.  Evicting it
+  /// advances it to the next set presence bit.
+  [[nodiscard]] SegmentId min_id() const noexcept { return min_id_; }
 
   /// Id-indexed availability, spanning [0, highest id ever inserted].
   /// Bits are cleared on eviction.  Zero-copy view for the gossip layer.
@@ -68,25 +74,32 @@ class StreamBuffer {
 
   [[nodiscard]] std::uint64_t eviction_count() const noexcept { return evictions_; }
 
-  /// Heap bytes owned by the ring, the sequence map and the presence bitset.
+  /// Heap bytes owned by the ring, the sequence window and the presence
+  /// bitset.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  /// Ring of held ids (head = oldest) plus the id -> insertion sequence
-  /// map, erased on eviction.  The ring grows geometrically up to
-  /// `capacity` so a near-empty buffer (short runs, fresh joiners) does not
-  /// pay for B slots up front.  The map narrows both sides to 32 bits —
-  /// segment ids are bounded by rate x horizon and sequence *distances*
-  /// (all position_from_tail needs) stay exact under uint32 wraparound —
-  /// so a slot is 8 bytes, not 16.
+  /// Ring of held ids (head = oldest) plus the sequence window.  The ring
+  /// grows geometrically up to `capacity` so a near-empty buffer (short
+  /// runs, fresh joiners) does not pay for B slots up front.  Window slots
+  /// are 32 bits: sequence *distances* (all position_from_tail needs) stay
+  /// exact under uint32 wraparound.  A slot whose id is not held holds a
+  /// stale value that is never read.
   struct Flat {
     std::vector<SegmentId> ring;
     std::size_t head = 0;
     std::size_t count = 0;
-    util::FlatSegmentMap<std::uint32_t, std::int32_t> sequence;
+    std::vector<std::uint32_t> sequence = std::vector<std::uint32_t>(64);
   };
 
   void grow_presence(SegmentId id);
+  /// Doubles the window until it exceeds `span` (the new max_id_ -
+  /// min_id_), re-placing the ring's held ids.  Runs before the new id is
+  /// appended to the ring.
+  static void widen_window(Flat& f, SegmentId span);
+  [[nodiscard]] static std::size_t slot_of(const Flat& f, SegmentId id) noexcept {
+    return static_cast<std::size_t>(id) & (f.sequence.size() - 1);
+  }
   [[nodiscard]] SegmentId window_base(std::size_t window_bits) const noexcept {
     if (max_id_ == kNoSegment) return 0;
     return std::max<SegmentId>(0, max_id_ - static_cast<SegmentId>(window_bits) + 1);
@@ -96,6 +109,7 @@ class StreamBuffer {
   std::unique_ptr<Flat> flat_;
   util::DynamicBitset presence_;
   std::uint64_t next_sequence_ = 1;
+  SegmentId min_id_ = kNoSegment;
   SegmentId max_id_ = kNoSegment;
   std::uint64_t evictions_ = 0;
 };

@@ -6,27 +6,34 @@
 
 namespace gs::util {
 
-Flags& Flags::define(std::string name, std::string default_value, std::string help) {
+Flags& Flags::define_kind(std::string name, std::string default_value, std::string help,
+                          Kind kind) {
   Entry entry;
   entry.value = default_value;
   entry.default_value = std::move(default_value);
   entry.help = std::move(help);
+  entry.kind = kind;
   entries_.insert_or_assign(std::move(name), std::move(entry));
   return *this;
 }
 
+Flags& Flags::define(std::string name, std::string default_value, std::string help) {
+  return define_kind(std::move(name), std::move(default_value), std::move(help), Kind::kString);
+}
+
 Flags& Flags::define_int(std::string name, std::int64_t default_value, std::string help) {
-  return define(std::move(name), std::to_string(default_value), std::move(help));
+  return define_kind(std::move(name), std::to_string(default_value), std::move(help), Kind::kInt);
 }
 
 Flags& Flags::define_double(std::string name, double default_value, std::string help) {
   std::ostringstream out;
   out << default_value;
-  return define(std::move(name), out.str(), std::move(help));
+  return define_kind(std::move(name), out.str(), std::move(help), Kind::kDouble);
 }
 
 Flags& Flags::define_bool(std::string name, bool default_value, std::string help) {
-  return define(std::move(name), default_value ? "true" : "false", std::move(help));
+  return define_kind(std::move(name), default_value ? "true" : "false", std::move(help),
+                     Kind::kBool);
 }
 
 bool Flags::parse(int argc, char** argv) {
@@ -66,6 +73,25 @@ bool Flags::parse(int argc, char** argv) {
     it->second.value = *value;
   }
   return true;
+}
+
+std::optional<int> Flags::parse_cli(int argc, char** argv) {
+  const char* program = argc > 0 ? argv[0] : "program";
+  try {
+    if (!parse(argc, argv)) return 0;
+    for (const auto& [name, entry] : entries_) {
+      switch (entry.kind) {
+        case Kind::kInt: static_cast<void>(get_int(name)); break;
+        case Kind::kDouble: static_cast<void>(get_double(name)); break;
+        case Kind::kBool: static_cast<void>(get_bool(name)); break;
+        case Kind::kString: break;
+      }
+    }
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "%s: %s\n%s", program, error.what(), usage(program).c_str());
+    return 2;
+  }
+  return std::nullopt;
 }
 
 const Flags::Entry& Flags::find(std::string_view name) const {

@@ -23,8 +23,15 @@ class Flags {
   Flags& define_bool(std::string name, bool default_value, std::string help);
 
   /// Parses argv.  On --help prints usage and returns false (caller should
-  /// exit 0).  Throws std::runtime_error on unknown flags or bad values.
+  /// exit 0).  Throws std::runtime_error on unknown flags or missing values;
+  /// a malformed typed value throws later, from its getter.
   [[nodiscard]] bool parse(int argc, char** argv);
+
+  /// parse() for a program's main, plus an up-front parse of every typed
+  /// flag's value so no later getter can throw.  Returns std::nullopt to
+  /// carry on, 0 after --help, or 2 after a bad flag, whose message and
+  /// usage() it prints to stderr.
+  [[nodiscard]] std::optional<int> parse_cli(int argc, char** argv);
 
   [[nodiscard]] std::string get(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
@@ -37,11 +44,15 @@ class Flags {
   [[nodiscard]] std::string usage(std::string_view program) const;
 
  private:
+  enum class Kind { kString, kInt, kDouble, kBool };
   struct Entry {
     std::string value;
     std::string default_value;
     std::string help;
+    Kind kind = Kind::kString;
   };
+
+  Flags& define_kind(std::string name, std::string default_value, std::string help, Kind kind);
 
   const Entry& find(std::string_view name) const;
 

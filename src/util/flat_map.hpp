@@ -1,8 +1,8 @@
 // Flat open-addressed map keyed by non-negative 64-bit ids.
 //
-// The hot per-peer segment maps (pending requests, buffer sequence numbers)
-// hold a handful of entries but are touched on every tick and every
-// delivery.  std::unordered_map pays a heap node plus a pointer chase per
+// The hot per-peer segment map (a peer's pending requests) holds a
+// handful of entries but is touched on every tick and every delivery.
+// std::unordered_map pays a heap node plus a pointer chase per
 // entry; this map stores its entries inline in one power-of-two slot array
 // (linear probing, backward-shift deletion), so lookup is one hash plus a
 // short contiguous scan and the only allocation is the slot array itself —
@@ -10,17 +10,10 @@
 //
 // Key -1 (gs::gossip::kNoSegment) is reserved as the empty-slot sentinel;
 // all real keys must be >= 0.
-//
-// `K` narrows the stored key when the caller's ids provably fit (segment
-// ids are bounded by rate x horizon, far below 2^31): an {int32, uint32}
-// slot is 8 bytes instead of 16, which at 10^6 peers halves the dominant
-// per-buffer map.  The hash is computed on the numeric key value, so the
-// probe layout is identical for every K.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,12 +22,10 @@
 
 namespace gs::util {
 
-template <typename V, typename K = std::int64_t>
+template <typename V>
 class FlatSegmentMap {
  public:
-  using Key = K;
-  static_assert(std::is_integral_v<K> && std::is_signed_v<K>,
-                "keys are non-negative ids with -1 as the empty sentinel");
+  using Key = std::int64_t;
   static constexpr Key kEmptyKey = -1;
 
   FlatSegmentMap() = default;

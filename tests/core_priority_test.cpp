@@ -1,10 +1,13 @@
 // Priority model (eqs. 6-9) and Algorithm 1's greedy supplier selection.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "core/priority.hpp"
 #include "core/supplier_selection.hpp"
+#include "util/rng.hpp"
 
 namespace gs::core {
 namespace {
@@ -229,6 +232,76 @@ TEST(GreedyAssign, CapacityPropertyUnderLoad) {
   EXPECT_LE(load2, 1.0 + 1e-9);
   // Full utilisation: 7 + 5 = 12 segments fit in one period.
   EXPECT_EQ(assignments.size(), 11u);  // strict '<' boundary drops the 12th
+}
+
+/// The hashed form greedy_assign had before its flat queue-time list: the
+/// reference the property test below holds the flat list to.
+std::vector<Assignment> hashed_greedy_assign(const ScheduleContext& ctx,
+                                             const std::vector<CandidateSegment>& candidates,
+                                             const std::vector<double>& priorities) {
+  std::vector<Assignment> accepted;
+  std::unordered_map<net::NodeId, double> queue_time;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const CandidateSegment& c = candidates[i];
+    double best_time = std::numeric_limits<double>::infinity();
+    const SupplierView* best = nullptr;
+    for (const SupplierView& s : c.suppliers) {
+      if (s.send_rate <= 0.0) continue;
+      const auto it = queue_time.find(s.node);
+      const double t = (it == queue_time.end() ? s.queue_delay : it->second) + 1.0 / s.send_rate;
+      if (t < best_time && t < ctx.period) {
+        best_time = t;
+        best = &s;
+      }
+    }
+    if (best == nullptr) continue;
+    queue_time[best->node] = best_time;
+    Assignment a;
+    a.id = c.id;
+    a.supplier = best->node;
+    a.epoch = c.epoch;
+    a.expected_time = best_time;
+    a.priority = priorities[i];
+    accepted.push_back(a);
+  }
+  return accepted;
+}
+
+TEST(GreedyAssign, FlatQueueListMatchesHashedReference) {
+  // Randomized: suppliers drawn from a small pool so the same node recurs
+  // across candidates (and sometimes within one), with per-view queue
+  // delays and a few zero-rate views.
+  util::Rng rng(2024);
+  for (int round = 0; round < 300; ++round) {
+    ScheduleContext ctx = basic_ctx();
+    ctx.period = rng.uniform(0.2, 2.0);
+    const std::int64_t pool = rng.uniform_int(1, 8);
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    std::vector<CandidateSegment> candidates(count);
+    std::vector<double> priorities(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      candidates[i].id = 101 + static_cast<stream::SegmentId>(i);
+      candidates[i].epoch = rng.uniform_int(0, 1) == 0 ? StreamEpoch::kOld : StreamEpoch::kNew;
+      const auto views = rng.uniform_int(0, 6);
+      for (std::int64_t v = 0; v < views; ++v) {
+        const double rate = rng.uniform_int(0, 9) == 0 ? 0.0 : rng.uniform(1.0, 40.0);
+        candidates[i].suppliers.push_back(
+            supplier(static_cast<net::NodeId>(rng.uniform_int(0, pool - 1)), rate, 5,
+                     rng.uniform_int(0, 2) == 0 ? rng.uniform(0.0, 0.5) : 0.0));
+      }
+      priorities[i] = 100.0 - static_cast<double>(i);
+    }
+    const auto expected = hashed_greedy_assign(ctx, candidates, priorities);
+    const auto actual = greedy_assign(ctx, candidates, priorities);
+    ASSERT_EQ(expected.size(), actual.size()) << "round " << round;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(expected[k].id, actual[k].id) << "round " << round;
+      EXPECT_EQ(expected[k].supplier, actual[k].supplier) << "round " << round;
+      EXPECT_EQ(expected[k].epoch, actual[k].epoch) << "round " << round;
+      EXPECT_EQ(expected[k].expected_time, actual[k].expected_time) << "round " << round;
+      EXPECT_EQ(expected[k].priority, actual[k].priority) << "round " << round;
+    }
+  }
 }
 
 }  // namespace

@@ -144,6 +144,9 @@ struct ReferenceFifo {
   [[nodiscard]] SegmentId max_id() const {
     return order.empty() ? kNoSegment : *std::max_element(order.begin(), order.end());
   }
+  [[nodiscard]] SegmentId min_id() const {
+    return order.empty() ? kNoSegment : *std::min_element(order.begin(), order.end());
+  }
   [[nodiscard]] std::size_t position_from_tail(SegmentId id) const {
     const auto it = sequence.find(id);
     return it == sequence.end() ? 0 : static_cast<std::size_t>(next_sequence - it->second);
@@ -174,6 +177,82 @@ TEST(StreamBuffer, RingMatchesReferenceFifoOnRandomWorkload) {
     const SegmentId probe = rng.uniform_int(0, next > 0 ? next - 1 : 0);
     EXPECT_EQ(reference.sequence.count(probe) != 0, ring.contains(probe)) << "step " << step;
     EXPECT_EQ(reference.position_from_tail(probe), ring.position_from_tail(probe));
+  }
+}
+
+TEST(StreamBuffer, SequenceWindowWidensOverAWideIdSpan) {
+  // Ids 0 and 5000 held together force the window far past its 64 starting
+  // slots; out-of-order re-inserts in between must all keep their exact
+  // FIFO positions, and evicting the minimum must advance it.
+  ReferenceFifo reference;
+  reference.capacity = 8;
+  StreamBuffer buffer(8);
+  std::vector<SegmentId> seen;
+  const auto insert_and_check = [&](SegmentId id) {
+    EXPECT_EQ(reference.insert(id), buffer.insert(id)) << "id " << id;
+    seen.push_back(id);
+    EXPECT_EQ(reference.min_id(), buffer.min_id()) << "after id " << id;
+    EXPECT_EQ(reference.max_id(), buffer.max_id()) << "after id " << id;
+    for (const SegmentId probe : seen) {
+      EXPECT_EQ(reference.position_from_tail(probe), buffer.position_from_tail(probe))
+          << "probe " << probe << " after id " << id;
+    }
+  };
+  insert_and_check(0);
+  const std::size_t narrow = buffer.memory_bytes() - buffer.presence().memory_bytes();
+  insert_and_check(5000);
+  EXPECT_GE(buffer.memory_bytes() - buffer.presence().memory_bytes(),
+            narrow + 5000 * sizeof(std::uint32_t))
+      << "the window must exceed the held span";
+  for (const SegmentId id : {2500, 1, 4999, 0, 3000, 7, 4000, 2, 4998, 6, 1, 5001}) {
+    insert_and_check(id);
+  }
+  // The insert of 2 evicted 0, the minimum: the minimum moved on to 1.
+  EXPECT_FALSE(buffer.contains(0));
+  for (SegmentId id = 5002; id < 5012; ++id) insert_and_check(id);
+  EXPECT_EQ(buffer.min_id(), 5004);
+}
+
+TEST(StreamBuffer, CapacityOneBufferKeepsOnlyTheLatestId) {
+  StreamBuffer buffer(1);
+  EXPECT_EQ(buffer.insert(10), kNoSegment);
+  EXPECT_EQ(buffer.position_from_tail(10), 1u);
+  EXPECT_EQ(buffer.insert(3), 10);
+  EXPECT_EQ(buffer.min_id(), 3);
+  EXPECT_EQ(buffer.max_id(), 3);
+  EXPECT_EQ(buffer.position_from_tail(10), 0u);
+  EXPECT_EQ(buffer.position_from_tail(3), 1u);
+  EXPECT_EQ(buffer.insert(9000), 3);
+  EXPECT_EQ(buffer.min_id(), 9000);
+  EXPECT_EQ(buffer.position_from_tail(9000), 1u);
+  EXPECT_EQ(buffer.size(), 1u);
+}
+
+TEST(StreamBuffer, SequenceWindowStaysNearCapacityOnAStream) {
+  // B = 600 and 10^4 ids arriving mostly in order (about one in ten swapped
+  // with an id up to 50 places later): the held span stays under 1024, so
+  // the window never needs more than 1024 slots.
+  constexpr std::size_t kCapacity = 600;
+  std::vector<SegmentId> arrivals(10000);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) arrivals[i] = static_cast<SegmentId>(i);
+  util::Rng rng(99);
+  for (std::size_t i = 0; i + 50 < arrivals.size(); ++i) {
+    if (rng.uniform_int(0, 9) == 0) {
+      std::swap(arrivals[i], arrivals[i + static_cast<std::size_t>(rng.uniform_int(1, 50))]);
+    }
+  }
+  ReferenceFifo reference;
+  reference.capacity = kCapacity;
+  StreamBuffer buffer(kCapacity);
+  for (const SegmentId id : arrivals) {
+    reference.insert(id);
+    buffer.insert(id);
+  }
+  EXPECT_LE(buffer.memory_bytes(), buffer.presence().memory_bytes() +
+                                       kCapacity * sizeof(SegmentId) +
+                                       1024 * sizeof(std::uint32_t));
+  for (SegmentId id = 9000; id < 10000; ++id) {
+    EXPECT_EQ(reference.position_from_tail(id), buffer.position_from_tail(id)) << "id " << id;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -121,6 +122,27 @@ TEST(Flags, BareBoolDoesNotConsumeTheNextToken) {
   const char* argv2[] = {"prog", "--verbose"};
   ASSERT_TRUE(trailing.parse(2, const_cast<char**>(argv2)));
   EXPECT_TRUE(trailing.get_bool("verbose"));
+}
+
+TEST(Flags, ParseCliTurnsEveryBadFlagIntoExitStatusTwo) {
+  // A program's main returns parse_cli's status instead of dying on an
+  // uncaught exception: unknown flags, missing values and malformed typed
+  // values (caught up front, not at the later getter) all yield 2.
+  const auto status_of = [](std::vector<const char*> argv) {
+    Flags flags;
+    flags.define_int("count", 5, "a count");
+    flags.define_double("rate", 1.5, "a rate");
+    flags.define_bool("verbose", false, "verbosity");
+    flags.define("name", "bob", "a name");
+    return flags.parse_cli(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+  };
+  EXPECT_EQ(status_of({"prog", "--quick"}), 2);
+  EXPECT_EQ(status_of({"prog", "--count"}), 2);
+  EXPECT_EQ(status_of({"prog", "--count=abc"}), 2);
+  EXPECT_EQ(status_of({"prog", "--rate", "fast"}), 2);
+  EXPECT_EQ(status_of({"prog", "--verbose=maybe"}), 2);
+  EXPECT_EQ(status_of({"prog", "--help"}), 0);
+  EXPECT_EQ(status_of({"prog", "--count=7", "--rate=2", "--verbose", "--name=x"}), std::nullopt);
 }
 
 TEST(Flags, Positional) {
