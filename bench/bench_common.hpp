@@ -5,8 +5,8 @@
 #pragma once
 
 #include <charconv>
-#include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -26,8 +26,6 @@ struct BenchOptions {
   std::string csv;  ///< optional CSV output path
   bool delta_maps = false;
   std::size_t parallel_shards = 0;
-  bool sequential_delivery = false;
-  bool sequential_commit = false;
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
@@ -35,10 +33,8 @@ struct BenchOptions {
   /// to exercise sweep granularity (and super-batching under lockstep)
   /// without recompiling.
   std::size_t tick_shard_size = 0;
-  bool timing_wheel = true;
-  bool plan_gate = true;
   bool plan_gate_recheck = false;
-  std::string capacity_model = "shared-fifo";
+  stream::SupplierCapacityModel capacity_model = stream::SupplierCapacityModel::kSharedFifo;
   bool cdn_assist = false;
   double cdn_rate = 120.0;
   double cdn_pause = 3.0;
@@ -50,15 +46,12 @@ struct BenchOptions {
   void apply_engine(exp::Config& config) const {
     config.enable_delta_maps(delta_maps);
     config.enable_parallel_shards(parallel_shards);
-    config.engine.parallel_delivery = !sequential_delivery;
-    config.enable_parallel_commit(!sequential_commit);
     if (flash_crowd_joins > 0) {
       config.enable_flash_crowd(flash_crowd_joins, flash_crowd_start, flash_crowd_duration);
     }
     if (tick_shard_size > 0) config.engine.tick_shard_size = tick_shard_size;
-    config.enable_timing_wheel(timing_wheel);
-    config.enable_plan_gate(plan_gate, plan_gate_recheck);
-    config.engine.supplier_capacity = exp::capacity_from_string(capacity_model);
+    config.engine.plan_gate_recheck = plan_gate_recheck;
+    config.engine.supplier_capacity = capacity_model;
     config.enable_cdn_assist(cdn_assist);
     config.engine.cdn_assist_rate = cdn_rate;
     config.engine.cdn_assist_pause_s = cdn_pause;
@@ -68,7 +61,7 @@ struct BenchOptions {
 
 /// Parses the standard bench flags.  Returns std::nullopt to carry on, or
 /// the exit status main should return: 0 after --help, 2 after a bad flag
-/// (its message and the usage printed to stderr).
+/// or flag value (its message and the usage printed to stderr).
 inline std::optional<int> parse_bench_flags(
     int argc, char** argv, BenchOptions& options,
     const std::string& default_sizes = "100,500,1000,2000,4000,8000") {
@@ -83,12 +76,6 @@ inline std::optional<int> parse_bench_flags(
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
-  flags.define_bool("sequential-delivery", false,
-                    "disable the parallel delivery wave of the sharded core "
-                    "(ablation; identical metrics, inline delivery pops)");
-  flags.define_bool("sequential-commit", false,
-                    "disable the parallel commit + book passes of the sharded "
-                    "core (ablation; identical metrics, member-order commits)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -98,13 +85,6 @@ inline std::optional<int> parse_bench_flags(
                       "seconds over which the crowd is admitted");
   flags.define_int("tick-shard-size", 0,
                    "peers per tick shard / sweep group (0 = engine default)");
-  flags.define_bool("timing-wheel", true,
-                    "timing-wheel event plane (identical metrics, O(1) "
-                    "schedule; --timing-wheel=false for the heap baseline)");
-  flags.define_bool("plan-gate", true,
-                    "plan work-set plane: quiescence gate + neighbour-major "
-                    "candidate build (identical metrics, less plan work; "
-                    "--plan-gate=false for the pre-gate baseline)");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
@@ -127,16 +107,16 @@ inline std::optional<int> parse_bench_flags(
   options.csv = flags.get("csv");
   options.delta_maps = flags.get_bool("delta-maps");
   options.parallel_shards = static_cast<std::size_t>(flags.get_int("parallel-shards"));
-  options.sequential_delivery = flags.get_bool("sequential-delivery");
-  options.sequential_commit = flags.get_bool("sequential-commit");
   options.flash_crowd_joins = static_cast<std::size_t>(flags.get_int("flash-crowd-joins"));
   options.flash_crowd_start = flags.get_double("flash-crowd-start");
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");
   options.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard-size"));
-  options.timing_wheel = flags.get_bool("timing-wheel");
-  options.plan_gate = flags.get_bool("plan-gate");
   options.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
-  options.capacity_model = flags.get("capacity-model");
+  try {
+    options.capacity_model = exp::capacity_from_string(flags.get("capacity-model"));
+  } catch (const std::invalid_argument& error) {
+    return flags.reject(argv[0], std::string("flag --capacity-model: ") + error.what());
+  }
   options.cdn_assist = flags.get_bool("cdn-assist");
   options.cdn_rate = flags.get_double("cdn-rate");
   options.cdn_pause = flags.get_double("cdn-pause");
@@ -154,9 +134,7 @@ inline std::optional<int> parse_bench_flags(
       const char* end = token.data() + token.size();
       const auto parsed = std::from_chars(token.data(), end, size);
       if (parsed.ec != std::errc{} || parsed.ptr != end) {
-        std::fprintf(stderr, "%s: flag --sizes: not a size: %s\n%s", argv[0], token.c_str(),
-                     flags.usage(argv[0]).c_str());
-        return 2;
+        return flags.reject(argv[0], "flag --sizes: not a size: " + token);
       }
       options.sizes.push_back(size);
     }

@@ -293,7 +293,7 @@ BENCHMARK(BM_ShardedDispatch)
 // parallel wave and merges availability deltas per owning shard, with
 // same-timestamp sweeps super-batched.  The rows of a size share the seed
 // and produce bit-identical metrics (stream_determinism_test's
-// ParallelDelivery suite enforces that); the wall-clock delta plus the
+// ParallelShards suite enforces that); the wall-clock delta plus the
 // drain counters (delivery_batches / delta_journal_merges /
 // superbatch_sweeps) report how much of the former sequential remainder
 // the wave absorbed.  Emit BENCH_*.json via
@@ -341,21 +341,15 @@ BENCHMARK(BM_DeliveryDrain)
     ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Plan-gate payoff where the gate genuinely fires: a caught-up steady
-// swarm (sparse_fill=1.0, no synthetic backlog or lag) in which most peers
-// have no missing ∧ supplied work most of the time, so the quiescence gate
-// skips their candidate builds outright.  The rows of a size share the
-// seed and produce bit-identical metrics (stream_determinism_test's
-// PlanGate suite enforces that); plans_gated / plans_built report the gate
-// hit rate and the wall-clock delta is the saving.  The busy-swarm payoff
-// of the bundled neighbour-major candidate build shows up on the
-// BM_FullPipeline / BM_MillionPeer gate axes instead.  Emit BENCH_*.json
-// via
+// The plan gate where it genuinely fires: a caught-up steady swarm
+// (sparse_fill=1.0, no synthetic backlog or lag) in which most peers have
+// no missing ∧ supplied work most of the time, so the quiescence gate
+// skips their candidate builds outright.  plans_gated / plans_built report
+// the gate hit rate.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_PlanGate
 //     --benchmark_out=BENCH_plan_gate.json --benchmark_out_format=json
 void BM_PlanGate(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool gate = state.range(1) != 0;
   std::uint64_t delivered = 0;
   std::uint64_t gated = 0;
   std::uint64_t built = 0;
@@ -365,7 +359,6 @@ void BM_PlanGate(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // plan cost, not paper metrics
     config.engine.history_seconds = 10.0;
@@ -392,11 +385,9 @@ void BM_PlanGate(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(probes) / static_cast<double>(runs));
 }
 BENCHMARK(BM_PlanGate)
-    ->ArgNames({"peers", "gate"})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
+    ->ArgNames({"peers"})
+    ->Arg(100000)
+    ->Arg(1000000)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
@@ -408,9 +399,6 @@ BENCHMARK(BM_PlanGate)
 void BM_FullPipeline(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  const bool commit = state.range(2) != 0;
-  const bool wheel = state.range(3) != 0;
-  const bool gate = state.range(4) != 0;
   std::uint64_t delivered = 0;
   std::uint64_t events = 0;
   double bytes_per_peer = 0.0;
@@ -430,9 +418,6 @@ void BM_FullPipeline(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_parallel_shards(shards);
-    config.enable_parallel_commit(commit);
-    config.enable_timing_wheel(wheel);
-    config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = 5.0;           // pipeline cost, not paper metrics
     config.engine.history_seconds = 20.0;
@@ -481,33 +466,20 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_FullPipeline)
-    ->ArgNames({"peers", "shards", "commit", "wheel", "gate"})
-    ->Args({100000, 0, 1, 0, 1})
-    ->Args({100000, 0, 1, 1, 0})
-    ->Args({100000, 0, 1, 1, 1})
-    ->Args({100000, 4, 0, 1, 1})
-    ->Args({100000, 4, 1, 0, 1})
-    ->Args({100000, 4, 1, 1, 0})
-    ->Args({100000, 4, 1, 1, 1})
+    ->ArgNames({"peers", "shards"})
+    ->Args({100000, 0})
+    ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
-// N=10^6, with a wheel=0 row (binary-heap event plane) and a gate=0 row
-// isolating the plan work-set plane (quiescence gate + neighbour-major
-// candidate build) — at this scale neighbour presence bitsets are
-// cache-cold, so the gate-on/gate-off pair is the headline plan-phase
-// speedup.  bytes_per_peer comes from the engine's container accounting
-// and peak_rss_mb from the process high-water mark (cumulative across rows
-// by nature — run one filter per process for clean RSS numbers).
-// Fixed-seed metrics are bit-identical across the rows
-// (stream_determinism_test enforces both flags' purity).  Emit
+// N=10^6.  bytes_per_peer comes from the engine's container accounting and
+// peak_rss_mb from the process high-water mark (cumulative across rows by
+// nature — run one filter per process for clean RSS numbers).  Emit
 // BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_MillionPeer
 //     --benchmark_out=BENCH_million_peer.json --benchmark_out_format=json
 void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool wheel = state.range(1) != 0;
-  const bool gate = state.range(2) != 0;
   std::uint64_t delivered = 0;
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
@@ -519,8 +491,6 @@ void BM_MillionPeer(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_timing_wheel(wheel);
-    config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // memory smoke, not paper metrics
     config.engine.history_seconds = 10.0;
@@ -549,10 +519,8 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_MillionPeer)
-    ->ArgNames({"peers", "wheel", "gate"})
-    ->Args({1000000, 0, 1})
-    ->Args({1000000, 1, 0})
-    ->Args({1000000, 1, 1})
+    ->ArgNames({"peers"})
+    ->Arg(1000000)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -3,6 +3,8 @@
 // metrics.  Useful for debugging and for understanding the simulation.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "experiments/config.hpp"
@@ -15,16 +17,29 @@ int main(int argc, char** argv) {
   flags.define_int("nodes", 200, "overlay size");
   flags.define_int("seed", 7, "experiment seed");
   flags.define("algorithm", "fast", "fast|normal");
-  flags.define("capacity", "shared-fifo", "supplier capacity model: shared-fifo|per-link");
+  flags.define("capacity", "shared-fifo", "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_bool("dynamic", false, "apply churn");
   if (const auto status = flags.parse_cli(argc, argv)) return *status;
 
+  // Enum names convert up front: an unknown one is a bad flag, not a crash.
+  gs::exp::AlgorithmKind algorithm = gs::exp::AlgorithmKind::kFast;
+  gs::stream::SupplierCapacityModel capacity = gs::stream::SupplierCapacityModel::kSharedFifo;
+  try {
+    algorithm = gs::exp::algorithm_from_string(flags.get("algorithm"));
+  } catch (const std::invalid_argument& e) {
+    return flags.reject(argv[0], std::string("flag --algorithm: ") + e.what());
+  }
+  try {
+    capacity = gs::exp::capacity_from_string(flags.get("capacity"));
+  } catch (const std::invalid_argument& e) {
+    return flags.reject(argv[0], std::string("flag --capacity: ") + e.what());
+  }
+
   gs::exp::Config config = gs::exp::Config::paper_static(
-      static_cast<std::size_t>(flags.get_int("nodes")),
-      gs::exp::algorithm_from_string(flags.get("algorithm")),
+      static_cast<std::size_t>(flags.get_int("nodes")), algorithm,
       static_cast<std::uint64_t>(flags.get_int("seed")));
   if (flags.get_bool("dynamic")) config.enable_churn();
-  config.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity"));
+  config.engine.supplier_capacity = capacity;
   config.engine.debug_series = true;
 
   auto engine = gs::exp::make_engine(config);

@@ -64,13 +64,6 @@ int main(int argc, char** argv) {
                "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_double("token-bucket-burst", 4.0,
                       "token-bucket burst depth in segments (>= 1)");
-  flags.define_bool("timing-wheel", true,
-                    "timing-wheel event plane (identical metrics, O(1) schedule; "
-                    "--timing-wheel=false for the binary-heap baseline)");
-  flags.define_bool("plan-gate", true,
-                    "plan work-set plane: quiescence gate + neighbour-major "
-                    "candidate build (identical metrics, less plan work; "
-                    "--plan-gate=false for the pre-gate baseline)");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
@@ -82,12 +75,6 @@ int main(int argc, char** argv) {
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
-  flags.define_bool("sequential-delivery", false,
-                    "disable the parallel delivery wave of the sharded core "
-                    "(ablation; identical metrics, inline delivery pops)");
-  flags.define_bool("sequential-commit", false,
-                    "disable the parallel commit + book passes of the sharded "
-                    "core (ablation; identical metrics, member-order commits)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -119,7 +106,17 @@ int main(int argc, char** argv) {
 
   gs::exp::Config base = gs::exp::Config::paper_static(
       1000, gs::exp::AlgorithmKind::kFast, static_cast<std::uint64_t>(flags.get_int("seed")));
-  base.topology = gs::exp::topology_from_string(flags.get("topology"));
+  // Enum names convert up front: an unknown one is a bad flag, not a crash.
+  try {
+    base.topology = gs::exp::topology_from_string(flags.get("topology"));
+  } catch (const std::invalid_argument& e) {
+    return flags.reject(argv[0], std::string("flag --topology: ") + e.what());
+  }
+  try {
+    base.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity-model"));
+  } catch (const std::invalid_argument& e) {
+    return flags.reject(argv[0], std::string("flag --capacity-model: ") + e.what());
+  }
   base.trace_path = flags.get("trace");
   base.neighbor_target = static_cast<std::size_t>(flags.get_int("neighbor"));
   if (flags.get_double("churn") > 0.0) base.enable_churn(flags.get_double("churn"));
@@ -128,16 +125,12 @@ int main(int argc, char** argv) {
   base.engine.source_outbound = flags.get_double("source-outbound");
   base.priority.diversity_fraction = flags.get_double("diversity");
   base.priority.traditional_rarity = flags.get_bool("traditional-rarity");
-  base.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity-model"));
   base.engine.token_bucket_burst = flags.get_double("token-bucket-burst");
-  base.enable_timing_wheel(flags.get_bool("timing-wheel"));
-  base.enable_plan_gate(flags.get_bool("plan-gate"), flags.get_bool("plan-gate-recheck"));
+  base.engine.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   base.enable_delta_maps(flags.get_bool("delta-maps"));
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
   base.engine.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard"));
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
-  base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");
-  base.enable_parallel_commit(!flags.get_bool("sequential-commit"));
   if (flags.get_int("flash-crowd-joins") > 0) {
     base.enable_flash_crowd(static_cast<std::size_t>(flags.get_int("flash-crowd-joins")),
                             flags.get_double("flash-crowd-start"),

@@ -57,26 +57,6 @@ struct Config {
     engine.churn_join_fraction = fraction;
   }
 
-  /// Selects the timing-wheel event plane (`--timing-wheel`; on by
-  /// default, pass false for the binary-heap baseline).  Pure mechanism:
-  /// pop order is bit-identical on either backend, so fixed-seed metrics
-  /// never change; only schedule/pop cost and the wheel telemetry
-  /// (EngineStats::events_wheeled and friends) do.
-  void enable_timing_wheel(bool on = true) { engine.timing_wheel = on; }
-
-  /// Toggles the plan work-set plane (`--plan-gate`; on by default, pass
-  /// false for the pre-gate baseline): the quiescence gate that skips the
-  /// candidate build for peers with no missing ∧ supplied work, plus the
-  /// neighbour-major candidate enumeration.  Pure mechanism: fixed-seed
-  /// metrics are bit-identical either way; only plan-phase work and the
-  /// gate telemetry (EngineStats::plans_gated/plans_built) change.
-  /// `recheck` turns on the debug cross-check that re-builds gated plans
-  /// and asserts emptiness (`--plan-gate-recheck`).
-  void enable_plan_gate(bool on = true, bool recheck = false) {
-    engine.plan_gate = on;
-    engine.plan_gate_recheck = on && recheck;
-  }
-
   /// Charges availability gossip as BufferMapDelta exchanges
   /// (`--delta-maps`) — an accounting change that lowers the
   /// overhead-ratio metric by design.
@@ -88,17 +68,10 @@ struct Config {
   /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }
 
-  /// Disables (or re-enables) the parallel commit + book passes of the
-  /// sharded core (`--sequential-commit`; on by default with
-  /// parallel_shards).  Pure mechanism: fixed-seed metrics are
-  /// bit-identical either way; only wall clock and the commit-wave
-  /// diagnostics change.
-  void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
-
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
   /// peers and hands off once their gossip suppliers cover the window.
-  /// Unlike the mechanism flags above this changes dynamics *by design*
+  /// Unlike parallel_shards this changes dynamics *by design*
   /// (that is the point of the assist); with it off the plane is never
   /// constructed and fixed-seed metrics stay bit-identical.  Tune via
   /// engine.cdn_assist_* (rate, latency, pause/resume leads, span).

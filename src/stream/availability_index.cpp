@@ -20,16 +20,11 @@ std::size_t owner_anchor(const PeerNode& p) {
 
 }  // namespace
 
-void AvailabilityIndex::enable_work_tracking(PeerPool* pool) {
-  GS_CHECK(!built_) << "enable_work_tracking must precede build()";
-  GS_CHECK(pool != nullptr);
-  track_work_ = true;
-  pool_ = pool;
-}
-
 void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers,
-                              std::size_t span_bits, std::size_t lanes) {
+                              PeerPool& pool, std::size_t span_bits, std::size_t lanes) {
   GS_CHECK_GT(span_bits, 0u);
+  GS_CHECK_GE(pool.size(), peers.size());
+  pool_ = &pool;
   window_span_ = (span_bits + kWordBits - 1) / kWordBits * kWordBits;
   // Every allocation happens here, on the calling thread: fills on pool
   // threads would scatter the views over per-thread malloc arenas.
@@ -53,7 +48,7 @@ void AvailabilityIndex::reserve_view(const net::Graph& graph, const std::vector<
   w.supplier_count.assign(window_span_, 0);
   w.supplied.resize(window_span_);
   w.alive_neighbors.reserve(graph.neighbors(v).size());
-  if (track_work_) w.work_mask.resize(window_span_ / kWordBits);
+  w.work_mask.resize(window_span_ / kWordBits);
 }
 
 void AvailabilityIndex::fill_view(const net::Graph& graph, const std::vector<PeerNode>& peers,
@@ -64,7 +59,7 @@ void AvailabilityIndex::fill_view(const net::Graph& graph, const std::vector<Pee
     w.alive_neighbors.push_back(nb);  // graph adjacency is sorted by id
     add_supplier(w, peers[nb]);
   }
-  if (track_work_) recompute_work(v, w, peers[v].received);
+  recompute_work(v, w, peers[v].received);
 }
 
 const AvailabilityIndex::View& AvailabilityIndex::view(net::NodeId v) const {
@@ -95,13 +90,11 @@ void AvailabilityIndex::apply_gain(net::NodeId view, SegmentId id) {
     // take the owner's received word — a cold random load per transition
     // at 10^6 peers — so the summary marks the word unconditionally and
     // the owner's next empty build collapses it via try_quiesce.
-    if (track_work_) {
-      const std::size_t word = slot / kWordBits;
-      if (!w.work_mask.test(word)) {
-        w.work_mask.set(word);
-        ++w.work_words;
-        sync_work_lane(view, w);
-      }
+    const std::size_t word = slot / kWordBits;
+    if (!w.work_mask.test(word)) {
+      w.work_mask.set(word);
+      ++w.work_words;
+      sync_work_lane(view, w);
     }
   }
 }
@@ -148,7 +141,6 @@ void AvailabilityIndex::on_evict(const net::Graph& graph, const std::vector<Peer
 
 bool AvailabilityIndex::try_quiesce(net::NodeId v, const util::DynamicBitset& received,
                                     SegmentId from) {
-  if (!track_work_) return false;
   View& w = views_[v];
   if (!w.built || w.work_words == 0) return false;
   // One word-level scan over the whole remaining supplied range — not just
@@ -210,7 +202,7 @@ void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::Nod
   }
   // The slide moved every slot; the window is a handful of words, so a
   // full work recount is cheaper than replaying the shifts.
-  if (track_work_) recompute_work(v, w, peers[v].received);
+  recompute_work(v, w, peers[v].received);
   ++updates_;
 }
 
@@ -261,6 +253,7 @@ void AvailabilityIndex::recompute_boundary(View& w, const std::vector<PeerNode>&
 
 void AvailabilityIndex::add_peer(const net::Graph& graph, const std::vector<PeerNode>& peers,
                                  net::NodeId v) {
+  GS_CHECK_GE(pool_->size(), peers.size()) << "grow the peer pool before add_peer";
   if (views_.size() < peers.size()) views_.resize(peers.size());
   reserve_view(graph, peers, v);
   fill_view(graph, peers, v);
@@ -288,12 +281,12 @@ void AvailabilityIndex::remove_peer(const net::Graph& graph, const std::vector<P
     remove_supplier(w, leaver);
     if (leaver.buffer.max_id() == w.head) recompute_head(w, peers);
     if (leaver.known_boundary() == w.boundary_max) recompute_boundary(w, peers);
-    if (track_work_) recompute_work(nb, w, peers[nb].received);
+    recompute_work(nb, w, peers[nb].received);
     ++updates_;
   }
   views_[v] = View{};
   // A departed peer never plans again; park its gate lane closed.
-  if (pool_ != nullptr && v < pool_->size()) pool_->has_work(v) = 0;
+  pool_->has_work(v) = 0;
 }
 
 void AvailabilityIndex::connect(const std::vector<PeerNode>& peers, net::NodeId u,
@@ -305,7 +298,7 @@ void AvailabilityIndex::connect(const std::vector<PeerNode>& peers, net::NodeId 
     w.alive_neighbors.insert(
         std::lower_bound(w.alive_neighbors.begin(), w.alive_neighbors.end(), other), other);
     add_supplier(w, peers[other]);
-    if (track_work_) recompute_work(self, w, peers[self].received);
+    recompute_work(self, w, peers[self].received);
     ++updates_;
   }
 }
@@ -329,7 +322,6 @@ void AvailabilityIndex::recompute_work(net::NodeId v, View& w,
 }
 
 void AvailabilityIndex::sync_work_lane(net::NodeId v, const View& w) {
-  if (pool_ == nullptr || v >= pool_->size()) return;
   const std::uint8_t want = w.work_words != 0 ? 1 : 0;
   // Transition-only stores: during the parallel delivery merge this byte
   // belongs to the shard that owns view v, and the plan wave only reads it

@@ -66,7 +66,7 @@ class AvailabilityIndex {
     SegmentId head = kNoSegment;
     /// max over alive neighbours of known_boundary; -1 when none.
     int boundary_max = -1;
-    /// Plan-gate work summary (enable_work_tracking): a *conservative*
+    /// Plan-gate work summary: a *conservative*
     /// word-level cover of (supplied & ~owner.received) — every word with a
     /// missing ∧ supplied segment is marked, but a marked word may have
     /// gone quiet (the owner received the segments, or suppliers evicted
@@ -93,24 +93,20 @@ class AvailabilityIndex {
   /// (deliveries, evictions, churn, repair edges, boundary learns, window
   /// slides) must fire.
   [[nodiscard]] bool built() const noexcept { return built_; }
-  [[nodiscard]] bool work_tracked() const noexcept { return track_work_; }
-
-  /// Turns on the per-view work summary and mirrors the zero/nonzero state
-  /// of each view's work_words into `pool->has_work(v)` so the engine's
-  /// plan gate can test quiescence with one byte load.  Call before
-  /// build(); the pool must outlive the index.
-  void enable_work_tracking(PeerPool* pool);
 
   /// Builds every live non-source peer's view from the current buffers and
   /// enables event maintenance.  Call once, after setup/warm-start filled
   /// the buffers and before the simulation loop delivers anything.  Each
   /// view counts a window of `span_bits` ids (rounded up to a word
-  /// multiple) anchored at its owner's playback cursor.  The views fill on
-  /// up to `lanes` pool lanes (inline for lanes <= 1); each fill writes
-  /// only its own view and pool lane, so the result does not depend on the
-  /// lane count.
-  void build(const net::Graph& graph, const std::vector<PeerNode>& peers, std::size_t span_bits,
-             std::size_t lanes = 0);
+  /// multiple) anchored at its owner's playback cursor.  The zero/nonzero
+  /// state of each view's work_words is mirrored into `pool.has_work(v)`
+  /// so the engine's plan gate can test quiescence with one byte load; the
+  /// pool must outlive the index and cover every peer the index ever sees.
+  /// The views fill on up to `lanes` pool lanes (inline for lanes <= 1);
+  /// each fill writes only its own view and pool lane, so the result does
+  /// not depend on the lane count.
+  void build(const net::Graph& graph, const std::vector<PeerNode>& peers, PeerPool& pool,
+             std::size_t span_bits, std::size_t lanes = 0);
 
   /// `owner`'s buffer gained `id` (delivery or local generation).
   void on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id);
@@ -127,7 +123,7 @@ class AvailabilityIndex {
   /// fresh delta — a pending-deferred id is still missing ∧ supplied, so
   /// the scan seeing nothing also rules out retry-timer wakeups, and ids
   /// behind `from` are dead (the playback anchor never moves backwards).
-  /// Returns true when it cleared.  No-op unless work tracking is on.
+  /// Returns true when it cleared.
   bool try_quiesce(net::NodeId v, const util::DynamicBitset& received, SegmentId from);
 
   // --- journaled delta application (the engine's parallel delivery wave) ---
@@ -205,7 +201,7 @@ class AvailabilityIndex {
   void sync_work_lane(net::NodeId v, const View& w);
 
   bool built_ = false;
-  bool track_work_ = false;
+  /// The has_work lanes' owner (set by build).
   PeerPool* pool_ = nullptr;
   /// Window span in bits (a multiple of 64; fixed by build).
   std::size_t window_span_ = 0;

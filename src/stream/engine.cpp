@@ -31,9 +31,9 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // Timing-wheel event plane, quantized at the tick cadence: gossip sweeps
   // land on bucket boundaries and deliveries fill the current-period
   // bucket, so schedule_on is a bucket append and pops walk pre-sorted
-  // buckets.  Must precede any scheduling; pop order (and every metric) is
-  // bit-identical to the heap backend.
-  if (config_.timing_wheel) sim_.enable_timing_wheel(config_.tau);
+  // buckets.  Must precede any scheduling; pop order is the binary heap's
+  // (time, sequence) order (sim_property_test checks the two backends).
+  sim_.enable_timing_wheel(config_.tau);
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
     // Every pop scans the shard heads, so queue shards beyond a few dozen
@@ -50,14 +50,14 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       if (&sink == &transfers_) return 1 + static_cast<std::size_t>(a) % shards;
       return 0;
     });
-    // The parallel delivery wave: consecutive delivery events pop as one
-    // batch and drain through the mark/book/merge pipeline; same-timestamp
-    // tick sweeps super-batch through BatchTicker::on_batch.  Fresh-segment
-    // push reads neighbour buffers and schedules transfers per delivery,
-    // which only the inline pop order reproduces — the wave stands down.
-    if (config_.parallel_delivery && !config_.push_fresh_segments) {
+    // The delivery wave: consecutive delivery events pop as one batch and
+    // drain through the book/tail/merge pipeline; same-timestamp tick
+    // sweeps super-batch through BatchTicker::on_batch.  Fresh-segment push
+    // reads neighbour buffers and schedules transfers per delivery, which
+    // only the inline pop order reproduces — the wave stands down.
+    if (!config_.push_fresh_segments) {
       data_shards_ = shards;
-      delta_journals_.resize((shards + 1) * shards);
+      delta_journals_.resize(shards * shards);
       shard_entries_.resize(shards);
       dirty_views_.resize(shards);
       lane_merges_.assign(shards, 0);
@@ -235,10 +235,8 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   // come back empty (the availability plane saw the last event that could
   // have created missing ∧ supplied work), and an empty build returns
   // right below without drawing from p.rng — so skipping it wholesale is
-  // rng-neutral and every fixed-seed metric stays bit-identical.  The lane
-  // defaults to 1 and only work tracking ever clears it, so this reads
-  // "gate enabled and proven quiescent".
-  if (config_.plan_gate && pool_.has_work(p.id) == 0) {
+  // rng-neutral and every fixed-seed metric stays bit-identical.
+  if (pool_.has_work(p.id) == 0) {
     plan.gated = true;
     if (config_.plan_gate_recheck) recheck_gate(p, now);
     return;
@@ -252,9 +250,7 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
     // paths (the plan lanes partition members), so the writes are
     // race-free, and the decision reads only pre-wave state — identical
     // at every shard count.
-    if (config_.plan_gate) {
-      (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
-    }
+    (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
     return;
   }
 
@@ -282,7 +278,7 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
 }
 
 bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
-  if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
+  if (!transfers_.supplier_shared()) return false;
   // The plan's queue-delay reads covered (a subset of) the alive
   // neighbours; per-link capacity can never conflict (requester-keyed).
   for (const net::NodeId nb : availability_.view(p.id).alive_neighbors) {
@@ -294,51 +290,21 @@ bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
 void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate) {
   if (!plan.planned) return;
   if (validate && !plan.candidates.empty() && plan_is_stale(p, plan)) {
-    if (plan.stage) {
-      // Stale on a commit lane: nothing may issue from here — the class
-      // barrier's fixup queue re-plans this member sequentially, where the
-      // live plane state it observes is exactly the sequential prefix.
-      plan.fixup = true;
-      return;
-    }
     // An earlier member committed capacity on a supplier this plan read:
     // its queue-delay estimates (and therefore the strategy's choices and
     // rng draws) may differ from what the sequential order would produce.
-    // Roll the rng back and re-derive against the live transfer plane —
-    // the candidate *set* cannot change (buffers are stable in a sweep),
-    // only supplier scores.
-    p.rng = plan.rng_before;
-    ++stats_.replanned_ticks;
-    tick_plan(p, now, plan);
+    // Nothing may issue from here — the class barrier's fixup drain rolls
+    // the rng back and re-plans this member against the live plane, where
+    // the state it observes is exactly the sequential prefix (the
+    // candidate *set* cannot change: buffers are stable in a sweep).
+    plan.fixup = true;
+    return;
   }
-  // Stage mode folds every global counter at the wave's final drain, from
-  // the plan's final contents (a fixup re-plan overwrites them first, so
-  // the fold always matches the sequential charge).
-  if (!plan.stage) {
-    stats_.availability_probes += plan.probes;
-    if (plan.gated) {
-      ++stats_.plans_gated;
-      if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
-    } else if (!plan.candidates.empty()) {
-      ++stats_.plans_built;
-    }
-  }
+  // Stage mode folds the counters at the wave's final drain, from the
+  // plan's final contents (a fixup re-plan overwrites them first, so the
+  // fold always matches the sequential charge).
+  if (!plan.stage) count_plan(plan);
   if (plan.candidates.empty()) return;
-
-  if (!plan.stage) {
-    if (plan.split_active) {
-      ++stats_.split_ticks;
-      for (const ScheduledRequest& r : plan.requests) {
-        if (r.id > plan.s1_end) {
-          ++stats_.new_stream_requests;
-        } else {
-          ++stats_.old_stream_requests;
-        }
-      }
-    }
-    candidates_seen_ += plan.candidates.size();
-    scheduled_seen_ += plan.requests.size();
-  }
 
   // Supplier fallback on rejection (the strategy names one supplier per
   // segment; a saturated supplier should not cost the whole period when an
@@ -359,6 +325,28 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
   }
 }
 
+void Engine::count_plan(const TickPlan& plan) {
+  stats_.availability_probes += plan.probes;
+  if (plan.gated) {
+    ++stats_.plans_gated;
+    if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
+  }
+  if (plan.candidates.empty()) return;
+  ++stats_.plans_built;
+  if (plan.split_active) {
+    ++stats_.split_ticks;
+    for (const ScheduledRequest& r : plan.requests) {
+      if (r.id > plan.s1_end) {
+        ++stats_.new_stream_requests;
+      } else {
+        ++stats_.old_stream_requests;
+      }
+    }
+  }
+  candidates_seen_ += plan.candidates.size();
+  scheduled_seen_ += plan.requests.size();
+}
+
 void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, double now) {
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
@@ -367,11 +355,12 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
-  // wave, while each wave still carries ~16 plans per lane of parallel
-  // work.  Any wave size yields identical results — valid plans equal the
-  // sequential computation and stale ones are re-planned — so this is a
-  // pure throughput knob.
-  const std::size_t wave = std::max<std::size_t>(32, 16 * lanes);
+  // wave, while each wave carries ~16 plans per shard of parallel work, in
+  // [32, 64].  Any wave size yields identical results — valid plans equal
+  // the sequential computation and stale ones are re-planned — but the
+  // replan, colour-class and fixup counters depend on it, so it derives
+  // from parallel_shards alone, never from the machine's core count.
+  const std::size_t wave = std::clamp<std::size_t>(16 * config_.parallel_shards, 32, 64);
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
@@ -398,24 +387,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
           batch_plans_[i].arena = lane_arenas_[lane].get();
           tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
-    if (config_.parallel_commit) {
-      commit_wave(members, base, count, lanes, now);
-      continue;
-    }
-    // Commit, in member order: the per-shard outboxes (the plans) drain
-    // deterministically — counters, requests, capacity commits, delivery
-    // events — re-planning any member whose speculation went stale.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!batch_plans_[i].live) continue;
-      if (batch_plans_[i].planned) ++stats_.planned_ticks;
-      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
-      // The CDN step reads only sweep-stable state (buffers, timeline,
-      // registry) plus the member's own slot and the CDN's ledger, and the
-      // commit loop runs it in member order — exactly the sequential
-      // tick()'s interleaving, so assisted runs stay bit-identical at
-      // every shard count.
-      if (cdn_) cdn_assist_tick(peers_[members[base + i]], now);
-    }
+    commit_wave(members, base, count, lanes, now);
   }
   // Warm-up fence for the zero-allocation telemetry: lane-arena chunks
   // allocated past the fence count as steady-state allocations.  The fence
@@ -516,27 +488,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       ++stats_.planned_ticks;
       if (!plan.fixup) ++stats_.parallel_commits;
       plan.fixup = false;
-      stats_.availability_probes += plan.probes;
-      if (plan.gated) {
-        ++stats_.plans_gated;
-        if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
-      } else if (!plan.candidates.empty()) {
-        ++stats_.plans_built;
-      }
-      if (!plan.candidates.empty()) {
-        if (plan.split_active) {
-          ++stats_.split_ticks;
-          for (const ScheduledRequest& r : plan.requests) {
-            if (r.id > plan.s1_end) {
-              ++stats_.new_stream_requests;
-            } else {
-              ++stats_.old_stream_requests;
-            }
-          }
-        }
-        candidates_seen_ += plan.candidates.size();
-        scheduled_seen_ += plan.requests.size();
-      }
+      count_plan(plan);
       stats_.requests_issued += plan.issued;
       stats_.requests_rejected += plan.rejected;
       if (plan.issued > 0) overhead_.charge_request(plan.issued);
@@ -627,55 +579,22 @@ void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
     return static_cast<SegmentId>(pos);
   };
 
-  if (!config_.plan_gate) {
-    // Segment-major supplier enumeration (the pre-plan-gate build, kept
-    // verbatim as the --no-plan-gate reference path).
-    for (SegmentId id = next_candidate(from); id <= to; id = next_candidate(id + 1)) {
-      const double* retry_at = p.pending.find(id);
-      if (retry_at != nullptr && *retry_at > now) continue;
-      CandidateSegment c(salloc);
-      c.id = id;
-      c.epoch =
-          (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-      // Deferred to the commit phase: build may run on a pool thread.
-      plan.probes += alive_neighbors.size();
-      for (const net::NodeId nb : alive_neighbors) {
-        const PeerNode& n = peers_[nb];
-        if (!n.buffer.contains(id)) continue;
-        SupplierView s;
-        s.node = nb;
-        s.send_rate = n.outbound_rate();
-        s.buffer_position = n.buffer.position_from_tail(id);
-        // The paper's R_ij is a *measured* per-link receiving rate, which
-        // in a real system reflects the link's current load.  Expose the
-        // backlog as the initial queueing estimate so requesters spread
-        // load instead of herding onto the nominally fastest supplier.
-        s.queue_delay = transfers_.queue_delay(p.id, nb, now);
-        c.suppliers.push_back(s);
-      }
-      if (!c.suppliers.empty()) out.push_back(std::move(c));
-    }
-    return;
-  }
-
-  // Neighbour-major enumeration: collect the candidate ids first, then walk
-  // each neighbour once across all of them.  Identical output by
-  // construction — the id walk and pending filter are unchanged (ascending
-  // ids), suppliers still append in ascending-neighbour order, and every
+  // Neighbour-major enumeration: collect the candidate ids first (ascending,
+  // pending-deferred ones skipped), then walk each neighbour once across
+  // all of them, so suppliers append in ascending-neighbour order.  Every
   // probed value (outbound_rate, queue_delay, buffer state) is stable for
-  // the duration of a plan in both dispatch paths — but each neighbour's
-  // buffer, rate and queue-delay are now touched in one contiguous burst
-  // instead of once per (segment, neighbour) pair, which is where the
-  // segment-major build burns its time at 10^5+ peers (random-access cache
-  // misses, see BM_PlanGate).
+  // the duration of a plan in both dispatch paths, and each neighbour's
+  // buffer, rate and queue delay are touched in one contiguous burst
+  // instead of once per (segment, neighbour) pair — a per-pair walk is
+  // random-access cache misses at 10^5+ peers.
   for (SegmentId id = next_candidate(from); id <= to; id = next_candidate(id + 1)) {
     const double* retry_at = p.pending.find(id);
     if (retry_at != nullptr && *retry_at > now) continue;
     CandidateSegment c(salloc);
     c.id = id;
     c.epoch = (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-    // Same accounting as the segment-major walk: one probe per (visited
-    // segment, alive neighbour) pair, charged whether or not it supplies.
+    // One probe per (visited segment, alive neighbour) pair, charged
+    // whether or not the neighbour supplies it.
     plan.probes += alive_neighbors.size();
     // The view's supplier count is exactly how many SupplierViews the
     // neighbour walk will append — one arena allocation per candidate
@@ -719,8 +638,8 @@ void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
       c.suppliers.push_back(s);
     }
   }
-  // Unsupplied ids produce no CandidateSegment in the segment-major build;
-  // drop them here, preserving ascending-id order.
+  // Unsupplied ids produce no CandidateSegment; drop them, preserving
+  // ascending-id order.
   std::erase_if(out, [](const CandidateSegment& c) { return c.suppliers.empty(); });
 }
 
@@ -757,11 +676,11 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     plan.staged.push_back(d);
     // Deterministic dirty stamp: wave base + 1 + member index.  Every
     // staleness comparison is `stamp_written > stamp_read` with the read
-    // stamp at most the wave base, so any strictly-above-base value is
-    // equivalent to the sequential ++capacity_commits_ — and unlike it,
-    // this one is the same no matter which lane writes it.  Per-link
-    // capacity never reads these stamps (plan_is_stale short-circuits);
-    // skipping the write keeps concurrent same-supplier issues race-free.
+    // stamp at most the wave base, so any strictly-above-base value marks
+    // "committed after this plan was derived" — and this one is the same
+    // no matter which lane writes it.  Per-link capacity never reads these
+    // stamps (plan_is_stale short-circuits); skipping the write keeps
+    // concurrent same-supplier issues race-free.
     if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
     ++plan.issued;
     p.in_budget().spend(1.0);
@@ -774,9 +693,6 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     ++stats_.requests_rejected;
     return false;
   }
-  // Parallel sweeps track when each uplink was last committed to, so later
-  // members' speculative plans can detect stale queue-delay reads.
-  if (!dirty_supplier_.empty()) dirty_supplier_[supplier] = ++capacity_commits_;
   overhead_.charge_request(1);
   p.in_budget().spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
@@ -877,20 +793,14 @@ void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_w
     ++stats_.duplicates;
     return;
   }
-  if (journal_deltas_) {
-    // Batched drain, deferred-mark path: stage the deltas on the book
-    // pass's journal row; the merge wave applies them.
-    emit_view_deltas(p.id, id, evicted, data_shards_);
-  } else {
-    // Publish the buffer change to the neighbourhood's availability views.
-    availability_.on_gain(graph_, p.id, id);
-    if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
-  }
+  // Publish the buffer change to the neighbourhood's availability views.
+  availability_.on_gain(graph_, p.id, id);
+  if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
   deliver_bookkeeping(p, id, now, count_wire);
 }
 
 void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool count_wire) {
-  // Split book phase: the wire counters are globally ordered side effects —
+  // Book phase: the wire counters are globally ordered side effects —
   // the tail replays them per item in pop order.
   if (count_wire && !book_phase_) {
     overhead_.charge_data_segment();
@@ -941,79 +851,17 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   const std::size_t lanes = std::min(shards, this->lanes());
 
   // Partition into per-shard delivery lists (pop order preserved within a
-  // list; every delivery of one peer lands in that peer's shard list).
-  // The split book pass drains a shard's items strictly in order, so a
+  // list; every delivery of one peer lands in that peer's shard list, and
+  // the book phase drains a shard's items strictly in order, so a
   // multi-delivery peer's marks interleave with its bookkeeping exactly as
-  // inline; the mark/book path instead defers such peers' marks, tracked
-  // by the per-peer multiplicity counts.
-  const bool split = config_.parallel_commit;
+  // inline).
   for (std::vector<std::uint32_t>& list : shard_entries_) list.clear();
-  if (!split && batch_peer_count_.size() < peers_.size()) {
-    batch_peer_count_.resize(peers_.size(), 0);
-  }
   batch_outcomes_.assign(count, MarkOutcome::kDead);
   for (std::size_t i = 0; i < count; ++i) {
     const auto to = static_cast<net::NodeId>(items[i].a);
     shard_entries_[to % shards].push_back(static_cast<std::uint32_t>(i));
-    if (!split && batch_peer_count_[to] < 2) ++batch_peer_count_[to];
   }
-
-  if (split) {
-    book_split_drain(items, count, lanes);
-  } else {
-    // Mark wave: each lane owns one shard's peers — pending erases, buffer
-    // writes and received bits touch only this lane's peers, and the staged
-    // availability deltas go to this lane's private journal row.  Safe
-    // concurrent reads only otherwise (graph adjacency, the batch counts).
-    util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s) {
-      for (const std::uint32_t idx : shard_entries_[s]) {
-        const auto to = static_cast<net::NodeId>(items[idx].a);
-        const auto id = static_cast<SegmentId>(items[idx].b);
-        PeerNode& p = peers_[to];
-        p.pending.erase(id);
-        if (!p.alive()) continue;  // left while the segment was in flight
-        if (batch_peer_count_[to] > 1) {
-          batch_outcomes_[idx] = MarkOutcome::kDeferred;
-          continue;
-        }
-        SegmentId evicted = kNoSegment;
-        if (!p.mark_received(id, &evicted)) {
-          batch_outcomes_[idx] = MarkOutcome::kDuplicate;
-          continue;
-        }
-        batch_outcomes_[idx] = MarkOutcome::kFresh;
-        emit_view_deltas(to, id, evicted, s);
-      }
-    });
-
-    // Book pass, pop order: every globally ordered side effect — duplicate
-    // and wire counters, boundary learning, switch metrics, playback — runs
-    // exactly as the inline pops would.  Cross-peer state is only written
-    // (metric pushes, boundary deltas), never read, so the mark wave's early
-    // buffer writes for *other* peers are invisible here.
-    journal_deltas_ = true;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (experiment_done_) break;  // the inline order stops popping here too
-      const auto to = static_cast<net::NodeId>(items[i].a);
-      const auto id = static_cast<SegmentId>(items[i].b);
-      PeerNode& p = peers_[to];
-      switch (batch_outcomes_[i]) {
-        case MarkOutcome::kDead:
-          break;
-        case MarkOutcome::kDeferred:
-          deliver_segment(p, id, items[i].at, /*count_wire=*/true);
-          break;
-        case MarkOutcome::kDuplicate:
-          ++p.duplicates_received;
-          ++stats_.duplicates;
-          break;
-        case MarkOutcome::kFresh:
-          deliver_bookkeeping(p, id, items[i].at, /*count_wire=*/true);
-          break;
-      }
-    }
-    journal_deltas_ = false;
-  }
+  book_split_drain(items, count, lanes);
 
   // Merge wave: lane t applies the journalled deltas of the views shard t
   // owns, walking the journal rows in source order (per-owner delta
@@ -1025,7 +873,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
     std::vector<net::NodeId>& dirty = dirty_views_[t];
     dirty.clear();
     std::uint64_t applied = 0;
-    for (std::size_t s = 0; s <= data_shards_; ++s) {
+    for (std::size_t s = 0; s < data_shards_; ++s) {
       for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
         switch (d.kind) {
           case ViewDelta::Kind::kGain:
@@ -1053,13 +901,6 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   availability_.add_updates(merged);
   stats_.delta_journal_merges += merged;
   for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
-
-  // Zero only the multiplicity entries this batch touched.
-  if (!split) {
-    for (std::size_t i = 0; i < count; ++i) {
-      batch_peer_count_[static_cast<net::NodeId>(items[i].a)] = 0;
-    }
-  }
 }
 
 void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t count,
@@ -1152,8 +993,7 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
   // reads those flags after the run.  Every logged event marks a
   // false->true transition, so reverting is clearing.  The other post-stop
   // phase effects (buffer marks, playback, gates, journalled deltas) are
-  // unobservable — nothing reads them after the stop, matching the
-  // mark-wave precedent for post-stop buffer writes.
+  // unobservable — nothing reads them after the stop.
   for (; ev < book_merged_.size(); ++ev) {
     const BookEvent& e = book_merged_[ev];
     if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished() = false;
@@ -1188,7 +1028,7 @@ void Engine::learn_boundaries(PeerNode& p, int up_to, double now) {
   if (up_to <= p.known_boundary()) return;
   p.known_boundary() = up_to;
   if (book_phase_) {
-    // Split book phase: boundary gossip writes *neighbour* views, which
+    // Book phase: boundary gossip writes *neighbour* views, which
     // other lanes own — journal it like the gain/evict deltas (the
     // learning peer's shard is this lane's shard).  boundary_max is
     // max-monotone, so the deltas commute across the merge's row order,
@@ -1279,7 +1119,7 @@ void Engine::record_finish(PeerNode& p, int switch_index, double play_time) {
   p.sw_finished() = true;
   if (!p.tracked()) return;
   if (book_phase_) {
-    // Split book phase: the flag transition is per-peer (this lane owns
+    // Book phase: the flag transition is per-peer (this lane owns
     // the peer); the metric push and the stop check are globally ordered —
     // log them for the tail.
     const std::size_t s = p.id % data_shards_;

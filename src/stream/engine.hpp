@@ -108,18 +108,6 @@ struct EngineConfig {
   /// per tick *shard* (see tick_shard_size), not per peer: each shard's
   /// peers tick in one sim::BatchTicker sweep event per period.
   bool stagger_ticks = true;
-  /// Timing-wheel event plane: back each event-queue shard with a
-  /// hierarchical timing wheel (near wheel quantized at tau, coarser
-  /// overflow wheel, far-horizon spill heap; see sim/timing_wheel.hpp)
-  /// instead of a binary heap — amortized O(1) schedule/cancel, O(bucket)
-  /// pops.  Pure mechanism: each bucket drains through a stable (time,
-  /// sequence) sort, so pop order — and every fixed-seed metric — is
-  /// bit-identical with the flag on or off at every shard count (enforced
-  /// by stream_determinism_test and the sim_property_test
-  /// backend-equivalence property); only schedule/pop cost and the wheel
-  /// telemetry (EngineStats::events_wheeled / wheel_overflow_promotions /
-  /// spill_heap_peak) change.
-  bool timing_wheel = true;
   /// Peers per tick shard: peers [s*size, (s+1)*size) share one stagger
   /// phase and one sweep event; must be >= 1.  Under parallel_shards this
   /// is also the parallel grain: one sweep's members are planned
@@ -136,65 +124,33 @@ struct EngineConfig {
   ///   plan   parallel, read-only — candidate build + strategy scheduling
   ///          (the dominant tick cost), speculated against the pre-sweep
   ///          transfer plane; writes only the member's own rng and slot;
-  ///   commit sequential, member order — requests, capacity commits and
-  ///          counters drain in the deterministic order; a member whose
-  ///          supplier backlog an earlier member changed is re-planned
-  ///          (rng rolled back) against the live plane.
+  ///   commit the commit wave — members whose plans touch disjoint
+  ///          supplier sets commute, so the wave colours a
+  ///          supplier-contention graph (contention set = the
+  ///          alive-neighbour set the staleness check reads) with a layered
+  ///          greedy colouring and runs each colour class's commits on pool
+  ///          lanes, deliveries staged per member; a member whose supplier
+  ///          backlog an earlier member changed is re-planned (rng rolled
+  ///          back) in a sequential fix-up drain after its class, and a
+  ///          final member-order drain posts the staged deliveries and
+  ///          counters so event sequence numbers match a sequential commit.
+  /// Unless push_fresh_segments is on, consecutive delivery events also pop
+  /// as one batch (Simulator::enable_batch_pop) and drain as a delivery
+  /// wave: a parallel per-target-shard book phase (buffer marks, playback,
+  /// per-peer flags, availability and boundary deltas journalled per lane),
+  /// a sequential tail replaying metric pushes and wire counters in pop
+  /// order, and a parallel per-owner merge of the journalled deltas; tick
+  /// sweeps sharing a timestamp super-batch into one pipeline pass
+  /// (BatchTicker::on_batch).  Push reads neighbour buffers and schedules
+  /// transfers per delivery, which only the inline pop order reproduces.
   /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
   /// count, including 0 (enforced by stream_determinism_test and
   /// stream_golden_digest_test); only wall-clock and the shard diagnostics
-  /// change.  The set-up passes (warm start, availability index build) run
+  /// change — plus, in the batch where the experiment completes, the tail
+  /// counters events_popped and index_updates (the final batch is popped
+  /// whole).  The set-up passes (warm start, availability index build) run
   /// on the same lanes.
   std::size_t parallel_shards = 0;
-  /// Parallel delivery wave of the sharded core (parallel_shards > 0
-  /// only).  Consecutive delivery events are popped as one batch
-  /// (Simulator::enable_batch_pop), buffer writes run as a parallel wave
-  /// of per-shard delivery lists, availability deltas are staged into
-  /// per-lane journals and merged per owning shard, and same-timestamp
-  /// tick sweeps of different groups collapse into one super-batched
-  /// pipeline pass (BatchTicker::on_batch).  Pure mechanism like
-  /// parallel_shards itself: fixed-seed metrics are bit-identical with the
-  /// wave on or off at every shard count (enforced by
-  /// stream_determinism_test); only wall clock and the drain diagnostics
-  /// (EngineStats::delivery_batches / delta_journal_merges /
-  /// superbatch_sweeps) change — plus, in the one batch where the
-  /// experiment completes, the tail diagnostics events_popped and
-  /// index_updates: the run's final batch is popped whole, so items behind
-  /// the completing delivery count as popped (their ordered bookkeeping is
-  /// skipped exactly like the inline stop skips them, keeping every metric
-  /// and compared counter identical).  Automatically disabled when
-  /// push_fresh_segments is on (push reads neighbour buffers and schedules
-  /// transfers per delivery, which requires the inline pop order).
-  bool parallel_delivery = true;
-  /// Parallel commit + book passes of the sharded core (parallel_shards > 0
-  /// only; default on, like parallel_delivery).  Closes the pipeline's last
-  /// sequential fractions:
-  ///   commit  members of a sweep wave whose plans touch disjoint supplier
-  ///           sets commute, so the wave builds a supplier-contention graph
-  ///           (contention set = the alive-neighbour set the staleness check
-  ///           reads), colours it with a layered greedy colouring — a
-  ///           member's colour exceeds every earlier conflicting member's,
-  ///           so class-by-class execution respects the sequential
-  ///           write/read order — and runs each colour class's tick_commit
-  ///           on ThreadPool lanes with deliveries staged per member;
-  ///           members whose speculation went stale mid-class drain through
-  ///           a sequential fixup queue (the replan path generalised), and a
-  ///           final member-order drain replays the staged delivery events
-  ///           and deferred counters so event sequence numbers match the
-  ///           sequential commit exactly;
-  ///   book    deliver_bookkeeping splits into a parallel per-target-shard
-  ///           phase (buffer marks, playback advance, per-peer counters and
-  ///           flags, journalled boundary/availability deltas) plus a short
-  ///           sequential tail that replays the batch's metric pushes and
-  ///           wire counters in global pop order via a stable per-batch sort
-  ///           of the logged events — restoring the exact metric-push and
-  ///           experiment-stop interleaving.
-  /// Pure mechanism like parallel_delivery: fixed-seed metrics are
-  /// bit-identical with the flag on or off at every shard count (enforced
-  /// by stream_determinism_test); only wall clock and the commit-wave
-  /// diagnostics (EngineStats::commit_colour_classes / conflict fixups /
-  /// parallel commits / books) change.
-  bool parallel_commit = true;
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
   double token_bucket_burst = 4.0;
@@ -208,26 +164,10 @@ struct EngineConfig {
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
-  /// The plan work-set plane.  Two coupled mechanisms behind one switch,
-  /// both "identical metrics, less work" like timing_wheel:
-  ///   - the quiescence gate: the availability index tracks each view's
-  ///     missing ∧ supplied word count and mirrors the zero/nonzero state
-  ///     into PeerPool::has_work, and tick_plan skips the whole candidate
-  ///     build for peers whose lane reads 0.  tick_plan returns before
-  ///     any strategy rng draw when the candidate list is empty, so a
-  ///     correct gate is rng-neutral and fixed-seed metrics stay
-  ///     bit-identical (enforced by stream_determinism_test at shards
-  ///     0/1/4/7);
-  ///   - the neighbour-major candidate build: build_candidates collects
-  ///     the missing-and-supplied ids first, then enumerates suppliers
-  ///     neighbour-outer, hoisting each neighbour's rate and queue-delay
-  ///     lookups once per plan instead of once per (segment, neighbour)
-  ///     probe — same candidates, same supplier order, same probe
-  ///     accounting, a fraction of the random memory traffic.
-  /// With the flag off both paths revert to the exact pre-gate code.
-  bool plan_gate = true;
-  /// Debug cross-check: re-run the full candidate build for every gated
-  /// peer and GS_CHECK the result is empty.  Costs what the gate saves;
+  /// Debug cross-check of the plan gate (tick_plan skips the candidate
+  /// build of a peer whose availability view holds no missing ∧ supplied
+  /// work; see AvailabilityIndex::View::work_words): re-run the full
+  /// candidate build for every gated peer and GS_CHECK the result is empty.  Costs what the gate saves;
   /// wired into the ASan/UBSan CI job and the PlanGate recheck tests.
   bool plan_gate_recheck = false;
   /// Charge availability gossip as BufferMapDelta exchanges (changed-bit
@@ -253,13 +193,12 @@ struct EngineConfig {
   /// peer's inbound link).  A per-peer controller pauses the burst when the
   /// buffered lead reaches cdn_assist_pause_s, resumes it under
   /// cdn_assist_resume_s, and hands off to the swarm once every missing
-  /// patch-window id has an alive gossip supplier.  Unlike the mechanism
-  /// flags above this changes the dynamics *by design* — switch latency
-  /// drops at a CDN byte-cost (see bench_ablation_cdn_assist) — but with
-  /// the flag off the plane is never constructed and all fixed-seed
-  /// metrics stay bit-identical across every existing flag combination,
-  /// and with it on they are still bit-identical at every shard count
-  /// (both enforced by stream_determinism_test).
+  /// patch-window id has an alive gossip supplier.  Unlike parallel_shards
+  /// this changes the dynamics *by design* — switch latency drops at a CDN
+  /// byte-cost (see bench_ablation_cdn_assist) — but with the flag off the
+  /// plane is never constructed, and with it on fixed-seed metrics are
+  /// still bit-identical at every shard count (enforced by
+  /// stream_determinism_test).
   bool cdn_assist = false;
   double cdn_assist_rate = 120.0;       ///< CDN uplink capacity (segments/s)
   double cdn_assist_latency_ms = 40.0;  ///< fixed server latency (no jitter)
@@ -308,7 +247,7 @@ struct EngineStats {
   std::uint64_t availability_probes = 0;
   /// Availability-index delta events applied, window slides included.
   std::uint64_t index_updates = 0;
-  /// Plan-gate diagnostics (config_.plan_gate): member ticks whose
+  /// Plan-gate diagnostics: member ticks whose
   /// candidate build was skipped because the work lane read quiescent,
   /// ticks that did build a non-empty candidate list, and gated ticks
   /// cross-checked by the debug recheck (plan_gate_recheck).
@@ -328,20 +267,20 @@ struct EngineStats {
   /// Events routed into a foreign shard's queue (cross-shard outbox
   /// traffic; see Simulator::cross_shard_scheduled).
   std::uint64_t cross_shard_events = 0;
-  /// Parallel-delivery diagnostics (parallel_shards > 0 with
-  /// parallel_delivery only): multi-event delivery runs drained through
+  /// Delivery-wave diagnostics (parallel_shards > 0 without push):
+  /// multi-event delivery runs drained through
   /// the wave pipeline, availability deltas merged from the per-lane
   /// journals, and same-timestamp sweep runs collapsed into one
   /// super-batched pipeline pass.
   std::uint64_t delivery_batches = 0;
   std::uint64_t delta_journal_merges = 0;
   std::uint64_t superbatch_sweeps = 0;
-  /// Commit-wave diagnostics (parallel_shards > 0 with parallel_commit
-  /// only): colour classes executed across all commit waves, members
+  /// Commit-wave diagnostics (parallel_shards > 0): colour classes executed across all commit waves, members
   /// committed on parallel lanes, members that went stale mid-class and
   /// drained through the sequential fixup queue (a subset of
   /// replanned_ticks), and delivery batches drained through the split
-  /// book pass.
+  /// book pass.  The class and fixup counts depend on the commit-wave size,
+  /// which is a function of parallel_shards alone (see run_parallel_sweep).
   std::uint64_t commit_colour_classes = 0;
   std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
@@ -356,12 +295,10 @@ struct EngineStats {
   std::uint64_t arena_chunks = 0;
   std::uint64_t arena_warm_chunks = 0;
   std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane (timing_wheel only; zeros on the heap
-  /// backend): events scheduled through the wheels, entries promoted from
-  /// the overflow wheel / spill heap into finer levels as the horizon
-  /// advanced, and the spill heap's peak occupancy (max across shards).
-  /// Pure-mechanism telemetry: the wheel changes no metric, only where
-  /// entries wait and what schedule/pop cost.
+  /// Timing-wheel event plane: events scheduled through the wheels,
+  /// entries promoted from the overflow wheel / spill heap into finer
+  /// levels as the horizon advanced, and the spill heap's peak occupancy
+  /// (max across shards).
   std::uint64_t events_wheeled = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
@@ -458,7 +395,8 @@ class Engine {
   void generate_segment(SessionIndex k, double now);
 
   /// Pool lanes of the parallel sections: min(parallel_shards, hardware
-  /// threads); 0 when the engine runs sequentially.
+  /// threads); 0 when the engine runs sequentially.  Only wall clock may
+  /// depend on it — never a result or a deterministic counter.
   [[nodiscard]] std::size_t lanes() const;
 
   // --- per-tick pipeline ---
@@ -491,11 +429,10 @@ class Engine {
     std::vector<CandidateSegment> candidates;
     std::vector<ScheduledRequest> requests;
     std::uint64_t probes = 0;  ///< deferred EngineStats::availability_probes
-    // --- commit-wave state (config_.parallel_commit only) ---
-    /// Stage mode: tick_commit runs on a lane — deliveries are staged into
-    /// `staged`, every global counter/event side effect is deferred to the
-    /// wave's final drain, and a stale plan only raises `fixup` instead of
-    /// re-planning in place.
+    // --- commit-wave state (parallel_shards > 0 only) ---
+    /// Stage mode (every sharded commit): deliveries are staged into
+    /// `staged` and every global counter/event side effect is deferred to
+    /// the wave's final drain.
     bool stage = false;
     /// Set by a staged stale commit; the per-class fixup drain re-plans and
     /// re-commits this member sequentially after the class barrier.
@@ -504,10 +441,9 @@ class Engine {
     /// per-request overhead charge rides on `issued`).
     std::uint32_t issued = 0;
     std::uint32_t rejected = 0;
-    /// dirty_supplier_ stamp this member's capacity commits write under
-    /// stage mode: wave base + 1 + member index — deterministic, and for
-    /// every `> stamp` staleness comparison equivalent to the sequential
-    /// ++capacity_commits_ value.
+    /// dirty_supplier_ stamp this member's capacity commits write: wave
+    /// base + 1 + member index — deterministic, and above every stamp a
+    /// plan of the same wave was derived under.
     std::uint64_t commit_stamp = 0;
     std::vector<StagedDelivery> staged;
     /// Candidate-list arena of the lane that planned this member (null =
@@ -526,17 +462,20 @@ class Engine {
   /// for distinct peers while nothing mutates.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
-  /// issue with rejection fallback, capacity commits.  With `validate`, a
-  /// plan whose supplier set was dirtied earlier in the sweep is re-planned
-  /// against the live transfer plane (rng rolled back first).
+  /// issue with rejection fallback, capacity commits.  With `validate` (a
+  /// commit lane), a plan whose supplier set was dirtied earlier in the
+  /// wave issues nothing and is flagged for the fixup drain instead.
   void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
+  /// Folds a committed plan into the global counters (probes, gate and
+  /// build counts, split requests, the debug series' tallies).
+  void count_plan(const TickPlan& plan);
   /// Could a commit the plan did not observe have changed a queue delay it
   /// read?  Conservative: any alive neighbour's uplink committed to after
   /// the plan's stamp counts (only supplier-keyed capacity models can
   /// conflict — per-link state is requester-local).
   [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
   /// The sharded sweep driver: pre in member order, plan on the pool,
-  /// commit in member order (see EngineConfig::parallel_shards).
+  /// then the commit wave (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
   /// peer's maintained availability view.
@@ -554,11 +493,11 @@ class Engine {
   /// stages the delivery into the plan, stamps dirty_supplier_ with
   /// plan.commit_stamp and defers the counters (see TickPlan).
   bool issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now, TickPlan& plan);
-  /// The commit wave (config_.parallel_commit): colours wave members
-  /// [base, base + count) of the sweep by supplier contention, runs each
-  /// colour class's tick_commit on pool lanes with per-class sequential
-  /// fixup drains, then replays staged deliveries, deferred counters and
-  /// CDN ticks in member order (see EngineConfig::parallel_commit).
+  /// The commit wave: colours wave members [base, base + count) of the
+  /// sweep by supplier contention, runs each colour class's tick_commit on
+  /// pool lanes with per-class sequential fixup drains, then replays staged
+  /// deliveries, deferred counters and CDN ticks in member order (see
+  /// EngineConfig::parallel_shards).
   void commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
                    std::size_t count, std::size_t lanes, double now);
 
@@ -580,51 +519,41 @@ class Engine {
   void deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire);
   /// Everything after the buffer write and availability deltas of a fresh
   /// delivery: wire accounting, boundary learning, switch progress,
-  /// playback.  Split out so the batched drain can run it per delivery in
-  /// pop order after the parallel mark wave.
+  /// playback.  Split out so the delivery wave's book phase can run it per
+  /// delivery with the deltas journalled.
   void deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool count_wire);
   void push_to_neighbors(PeerNode& p, SegmentId id, double now);
 
-  // --- parallel delivery wave (config_.parallel_delivery) ---
+  // --- delivery wave (parallel_shards > 0 without push) ---
   //
   // A batched run of delivery events (TransferPlane::set_delivery_batch)
   // drains in three passes that reproduce the inline pop sequence exactly:
-  //   mark    parallel per target-peer shard — pending erase + buffer
-  //           writes for peers with a single delivery in the run (their
-  //           bookkeeping sees exactly the state the inline order would
-  //           produce; multi-delivery peers defer the mark so their
-  //           bookkeeping interleaves marks per delivery), with
-  //           availability deltas staged into per-(lane, owner-shard)
-  //           journals;
-  //   book    sequential, pop order — duplicates/wire counters, boundary
-  //           learning, switch progress and playback, i.e. every globally
-  //           ordered side effect (metric pushes, experiment completion);
+  //   book    parallel per target-peer shard (book_split_drain) — lane s
+  //           drains shard s's items strictly in pop order: pending erase,
+  //           buffer mark and every per-peer effect of deliver_bookkeeping
+  //           (boundary learning, switch progress, playback), with
+  //           book_phase_ set, which journals availability and boundary
+  //           deltas per (lane, owner shard) and reroutes the globally
+  //           ordered side effects — metric pushes, wire counters,
+  //           experiment completion — into per-shard BookEvent logs keyed
+  //           by the batch item being drained;
+  //   tail    sequential, pop order — stable-sorts the logged events by
+  //           item (within an item they are already in call order: one
+  //           item's events land in one shard's log back to back) and
+  //           replays them, stopping at the completing item exactly like
+  //           the inline pop loop, then un-sets the finished/prepared flags
+  //           any post-stop phase work raised so the end-of-run censoring
+  //           sees the inline state;
   //   merge   parallel per owning shard — each lane applies the journalled
-  //           availability deltas of the views its shard owns (source-lane
-  //           order; per-owner delta streams stay ordered, cross-owner
-  //           deltas commute), then dirty cached heads are recomputed
+  //           deltas of the views its shard owns (source-lane order;
+  //           per-owner delta streams stay ordered, cross-owner deltas
+  //           commute), then dirty cached heads are recomputed
   //           sequentially from the settled buffers.
   void on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count);
   /// Stages one delivery's availability deltas (gain + optional eviction)
-  /// into the journal row of `source_shard` (data_shards_ = the
-  /// sequential bookkeeping row).
+  /// into the journal row of `source_shard`.
   void emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted,
                         std::size_t source_shard);
-
-  // --- split book pass (config_.parallel_commit with the delivery wave) ---
-  //
-  // deliver_bookkeeping splits into a parallel per-target-shard phase and a
-  // sequential tail.  The phase runs every per-peer effect (buffer mark,
-  // boundary learning with journalled deltas, switch progress, playback)
-  // with book_phase_ set, which reroutes the globally ordered side effects
-  // — metric pushes, wire counters, experiment completion — into per-shard
-  // BookEvent logs keyed by the batch item being drained.  The tail
-  // stable-sorts the logged events by item (within an item they are already
-  // in call order: one item's events land in one shard's log back to back)
-  // and replays them in global pop order, stopping at the completing item
-  // exactly like the inline pop loop, and un-setting the finished/prepared
-  // flags any post-stop phase work raised so the end-of-run censoring sees
-  // the inline state.
   /// One deferred globally-ordered side effect of the book phase.
   struct BookEvent {
     enum class Kind : std::uint8_t { kFinish, kPrepared, kS2Start };
@@ -634,14 +563,13 @@ class Engine {
     net::NodeId peer = 0;
     double time = 0.0;       ///< playback/wall time to push (pre-offset)
   };
-  /// The parallel phase + sequential tail drain of one delivery batch;
-  /// replaces the mark/book passes of on_delivery_batch when
-  /// parallel_commit is on.  `lanes` = pool lanes of the wave.
+  /// The book phase + sequential tail of one delivery batch.  `lanes` =
+  /// pool lanes of the wave.
   void book_split_drain(const sim::PooledBatchItem* items, std::size_t count,
                         std::size_t lanes);
 
-  /// One journalled availability delta: apply a gain/evict of `id` — or,
-  /// under the split book pass, a boundary raise to `id` (the boundary
+  /// One journalled availability delta: apply a gain/evict of `id` — or a
+  /// boundary raise to `id` (the boundary
   /// index rides in the id field; max-monotone, so boundary deltas commute
   /// with everything) — to views_[view] (owned by shard view % data_shards_).
   struct ViewDelta {
@@ -650,10 +578,9 @@ class Engine {
     SegmentId id = kNoSegment;
     Kind kind = Kind::kGain;
   };
-  /// Per-delivery outcome of the mark pass.
+  /// Per-delivery outcome of the book phase's buffer mark.
   enum class MarkOutcome : std::uint8_t {
-    kDead,      ///< target left while the segment was in flight
-    kDeferred,  ///< multi-delivery peer: mark happens in the book pass
+    kDead,  ///< target left while the segment was in flight
     kDuplicate,
     kFresh,
   };
@@ -711,19 +638,20 @@ class Engine {
   /// Per-member slots for the sharded sweep pipeline (parallel_shards > 0);
   /// sized to the largest sweep seen and reused.
   std::vector<TickPlan> batch_plans_;
-  /// dirty_supplier_[v] = value of capacity_commits_ when v's uplink was
-  /// last committed to (the plan-staleness test compares it against the
-  /// plan's stamp).  Sized only in parallel mode; empty otherwise.
+  /// dirty_supplier_[v] = commit stamp of the wave member that last
+  /// committed capacity on v's uplink (the plan-staleness test compares it
+  /// against the plan's stamp).  Sized only in parallel mode; empty
+  /// otherwise.
   std::vector<std::uint64_t> dirty_supplier_;
-  /// Monotone count of capacity commits (parallel mode only).
+  /// Commit clock: advanced past every stamp a wave hands out (parallel
+  /// mode only).
   std::uint64_t capacity_commits_ = 0;
 
-  /// Parallel delivery wave state (sized only when the wave is active).
+  /// Delivery-wave state (sized only when the wave is active).
   /// Peer/view ownership shard = id % data_shards_ (0 = wave inactive).
   std::size_t data_shards_ = 0;
   /// Journal row-major layout: journal of (source s, owning shard t) at
-  /// s * data_shards_ + t; source data_shards_ is the sequential book
-  /// pass.  Buckets keep their capacity across batches.
+  /// s * data_shards_ + t.  Buckets keep their capacity across batches.
   std::vector<std::vector<ViewDelta>> delta_journals_;
   /// Per target-peer shard: indices into the current batch, pop order.
   std::vector<std::vector<std::uint32_t>> shard_entries_;
@@ -732,16 +660,8 @@ class Engine {
   /// Deltas applied per merge lane (summed into availability updates).
   std::vector<std::uint64_t> lane_merges_;
   std::vector<MarkOutcome> batch_outcomes_;
-  /// Per-peer delivery multiplicity of the current batch, saturating at 2
-  /// (all the mark wave needs is single vs multi).  A flat byte per peer —
-  /// no hashing on the drain hot path; entries touched by a batch are
-  /// zeroed from its item list when the drain finishes.
-  std::vector<std::uint8_t> batch_peer_count_;
-  /// deliver_segment availability routing: journal into the sequential
-  /// book row instead of applying inline (set during the book pass).
-  bool journal_deltas_ = false;
 
-  // --- commit wave + split book state (config_.parallel_commit) ---
+  // --- commit wave + book phase state (parallel_shards > 0) ---
   /// One bump arena per pool lane for the plan wave's candidate lists
   /// (parallel_shards > 0; replaces the parallel lanes' heap fallback).
   /// All lanes reset on the caller thread at wave start — never mid-wave,
@@ -753,8 +673,8 @@ class Engine {
   /// Class-bucketed wave slots: class_slots_[colour] lists the wave slots
   /// of that colour in member order (buckets keep capacity across waves).
   std::vector<std::vector<std::uint32_t>> class_slots_;
-  /// Per-target-shard BookEvent logs of the split book pass (+1 spare row
-  /// unused; sized with shard_entries_) and the merged replay buffer.
+  /// Per-target-shard BookEvent logs of the book phase (sized with
+  /// shard_entries_) and the merged replay buffer.
   std::vector<std::vector<BookEvent>> book_events_;
   std::vector<BookEvent> book_merged_;
   /// book_current_item_[shard] = pop-order index of the item that shard's

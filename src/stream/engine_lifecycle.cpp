@@ -295,16 +295,14 @@ std::vector<SwitchMetrics> Engine::run() {
   GS_CHECK(peers_.empty()) << "run() may only be called once";
   init_peers();
   if (config_.warm_start) warm_start_state();
-  // The plan gate rides the maintained views for free: work tracking
-  // mirrors each view's missing ∧ supplied word count into the pool's
-  // has_work lane, and tick_plan skips quiescent members.
-  if (config_.plan_gate) availability_.enable_work_tracking(&pool_);
   // Build the availability views from the settled (possibly warm-started)
   // buffers; every later change flows in as a delta event.  Window span:
   // the candidate range is at most buffer_capacity wide and starts within
   // a word of the anchored base; the extra slack tracks a little ahead so
-  // slides reconstruct less.
-  availability_.build(graph_, peers_, config_.buffer_capacity + 192, lanes());
+  // slides reconstruct less.  The plan gate rides the maintained views for
+  // free: each view's missing ∧ supplied word count is mirrored into the
+  // pool's has_work lane, and tick_plan skips quiescent members.
+  availability_.build(graph_, peers_, pool_, config_.buffer_capacity + 192, lanes());
   start_session(0);
   for (std::size_t i = 0; i < timeline_.switch_count(); ++i) {
     schedule_switch(static_cast<int>(i));

@@ -12,7 +12,7 @@ void PeerPool::resize(std::size_t n) {
   tracked_.resize(n, 0);
   gate_armed_.resize(n, 0);
   // Work lane defaults to "has work" so peers never get gated before the
-  // availability plane builds their view (or at all, when tracking is off).
+  // availability plane builds their view.
   has_work_.resize(n, 1);
   strategy_.resize(n, 0);
   inbound_rate_.resize(n, 0.0);

@@ -88,10 +88,15 @@ std::optional<int> Flags::parse_cli(int argc, char** argv) {
       }
     }
   } catch (const std::runtime_error& error) {
-    std::fprintf(stderr, "%s: %s\n%s", program, error.what(), usage(program).c_str());
-    return 2;
+    return reject(program, error.what());
   }
   return std::nullopt;
+}
+
+int Flags::reject(std::string_view program, std::string_view message) const {
+  std::fprintf(stderr, "%.*s: %.*s\n%s", static_cast<int>(program.size()), program.data(),
+               static_cast<int>(message.size()), message.data(), usage(program).c_str());
+  return 2;
 }
 
 const Flags::Entry& Flags::find(std::string_view name) const {

@@ -33,6 +33,11 @@ class Flags {
   /// usage() it prints to stderr.
   [[nodiscard]] std::optional<int> parse_cli(int argc, char** argv);
 
+  /// The bad-flag exit for value checks a program makes after parse_cli
+  /// (enum names, list entries): prints "<program>: <message>" and usage()
+  /// to stderr and returns 2.
+  [[nodiscard]] int reject(std::string_view program, std::string_view message) const;
+
   [[nodiscard]] std::string get(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;

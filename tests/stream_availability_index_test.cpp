@@ -1,19 +1,18 @@
 // Property tests for the availability plane.  The set-up build must equal
 // a per-bit recount at every lane count (AvailabilityIndexBuildTest, end of
-// file).  The plan-gate work summary: an AvailabilityIndex with work
-// tracking on is driven by a randomized delta stream (deliveries,
-// evictions, leaves, joins, repair edges, boundary learns, window slides)
-// and, at every checkpoint, each built view's
-// summary must satisfy the *conservative* contract behind the engine's
-// quiescence gate:
+// file).  The plan-gate work summary: an AvailabilityIndex is driven by a
+// randomized delta stream (deliveries, evictions, leaves, joins, repair
+// edges, boundary learns, window slides) and, at every checkpoint, each
+// built view's summary must satisfy the *conservative* contract behind the
+// engine's quiescence gate:
 //   - the supplied bitset exactly equals the OR of the alive neighbours'
 //     buffer presence over the window (this part is never approximate);
 //   - the work mask covers every word that really holds supplied ∧
 //     ¬received work — under-reporting is the bug class that would make
 //     the gate skip a peer with schedulable work and drift fixed-seed
-//     metrics (stream_determinism_test's PlanGate suite pins that end to
-//     end); over-reporting is allowed between bulk recomputes and only
-//     costs a wasted build;
+//     metrics (the golden digests and stream_determinism_test's
+//     plan_gate_recheck cases pin that end to end); over-reporting is
+//     allowed between bulk recomputes and only costs a wasted build;
 //   - work_words equals the mask's popcount and the pool has_work lane
 //     mirrors its zero/nonzero state;
 //   - try_quiesce clears the summary iff the view truly has no work, and
@@ -150,8 +149,7 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
     }
   }
 
-  s.index.enable_work_tracking(&s.pool);
-  s.index.build(s.graph, s.peers, 256);
+  s.index.build(s.graph, s.peers, s.pool, 256);
   for (net::NodeId v = 1; v < kCore; ++v) s.built[v] = true;
   verify_views(s);
 
@@ -294,8 +292,7 @@ TEST_P(AvailabilityIndexBuildTest, WordParallelBuildEqualsPerBitRecount) {
       if (topo.uniform_int(0, 9) == 0) s.pool.alive(v) = 0;
     }
     s.pool.is_source(0) = 1;
-    s.index.enable_work_tracking(&s.pool);
-    s.index.build(s.graph, s.peers, kSpan, lanes);
+    s.index.build(s.graph, s.peers, s.pool, kSpan, lanes);
     for (net::NodeId v = 0; v < kPeers; ++v) {
       if (!s.peers[v].alive() || s.peers[v].is_source()) continue;
       const AvailabilityIndex::View& w = s.index.view(v);

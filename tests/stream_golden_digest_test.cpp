@@ -5,9 +5,10 @@
 // popped, availability probes, index updates, plans gated / built), so any
 // refactor of the engine's data path that changes an outcome or the work
 // the engine reports fails here.  The digests were captured with the
-// windowed availability plane, the flat peer containers and batched tick
-// dispatch (then optional, now the only path) switched on; the same
-// scenarios with them off gave identical SwitchMetrics.
+// windowed availability plane, the flat peer containers, batched tick
+// dispatch, the timing wheel, the plan gate and the commit and delivery
+// waves (then optional, now the only path) switched on; the same scenarios
+// with them off gave identical SwitchMetrics.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -171,6 +172,13 @@ std::vector<Scenario> scenarios() {
     s.seed = 29;
     s.push = true;
   });
+  // Push is the one sharded configuration that keeps the inline delivery
+  // pops (no delivery wave), so its counters match the sequential row too.
+  add("push_shards4", 0x2c5ddc97c50729c9ULL, [](Scenario& s) {
+    s.seed = 29;
+    s.push = true;
+    s.parallel = 4;
+  });
   add("delta_maps", 0xc2940bca0dfdc7b4ULL, [](Scenario& s) {
     s.seed = 59;
     s.delta_maps = true;
@@ -198,7 +206,7 @@ std::vector<Scenario> scenarios() {
   });
   // Every shard count gives the same metrics; the sharded runs' counters
   // differ from the sequential run's because the batched delivery pop
-  // counts the run's last batch whole (see EngineConfig::parallel_delivery).
+  // counts the run's last batch whole (see EngineConfig::parallel_shards).
   const struct {
     const char* name;
     std::size_t shards;
