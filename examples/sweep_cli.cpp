@@ -5,6 +5,10 @@
 //   ./sweep_cli --sizes 200,1000 --trials 3 --topology ring --churn 0.05
 //   ./sweep_cli --sizes 500 --qs 80 --neighbor 7 --capacity-model per-link --csv out.csv
 //   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 4
+//
+// Exit status: 0 on success, 2 on a bad flag or an unreadable trace file,
+// 1 when some size saw no tracked peer prepare S2 under an algorithm (its
+// switch time and the reduction print "n/a").
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -16,6 +20,7 @@
 #include "experiments/config.hpp"
 #include "experiments/report.hpp"
 #include "experiments/runner.hpp"
+#include "net/trace.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
 
@@ -154,7 +159,15 @@ int main(int argc, char** argv) {
       config.node_count = n;
       config.validate();
     }
-  } catch (const std::invalid_argument& e) {
+    if (base.topology == gs::exp::TopologyKind::kTraceFile) {
+      // Parse once up front: a missing or malformed trace is a bad input,
+      // reported with its reason, not an abort inside the first run.
+      if (gs::net::parse_trace_file(base.trace_path).node_count() < 3) {
+        throw std::invalid_argument("trace file " + base.trace_path +
+                                    ": needs at least 3 nodes");
+      }
+    }
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep_cli: %s\n", e.what());
     return 2;
   }
@@ -163,22 +176,27 @@ int main(int argc, char** argv) {
 
   gs::exp::print_times_table("custom sweep: finishing / preparing times", points);
   gs::exp::print_switch_reduction("custom sweep: switch time and reduction", points);
+  gs::exp::print_completion("custom sweep: completion (prepared / tracked)", points);
   gs::exp::print_overhead("custom sweep: communication overhead", points);
 
   if (flags.get_bool("print-diagnostics")) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
+    // The per-plane memory ledger (KiB retained at the end of the run; the
+    // pool is part of peer state) sits between bytes/peer and rss_mb.
     std::printf("%8s %12s %12s %12s %9s %9s %10s %11s %11s %9s %9s %11s %10s %12s %11s %10s "
-                "%8s %10s %9s %9s %8s %8s %11s %9s\n",
+                "%8s %10s %9s %9s %8s %8s %11s %10s %9s %9s %8s %9s %8s %10s %9s %9s\n",
                 "peers", "events", "wheeled", "probes", "promo", "spill_pk", "idx_upd",
                 "plans_gated", "plans_built", "sweeps", "replan", "cross_shard", "dlv_batch",
                 "journal_mrg", "superbatch", "colour_cls", "fixups", "par_commit", "par_book",
-                "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
+                "flash", "cdn_mb", "assisted", "bytes/peer", "peer_kb", "pool_kb", "wheel_kb",
+                "slab_kb", "avail_kb", "xfer_kb", "overlay_kb", "arena_kb", "rss_mb");
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
       config.node_count = n;
       config.algorithm = gs::exp::AlgorithmKind::kFast;
       const gs::exp::RunResult result = gs::exp::run_once(config);
       const gs::stream::EngineStats& s = result.stats;
+      const auto kib = [](std::uint64_t bytes) { return static_cast<double>(bytes) / 1024.0; };
       // Telemetry can be absent (no /proc => peak_rss_bytes == 0; no peers
       // => bytes_per_peer is NaN): print "n/a", never a fake 0.0.
       char bytes_per_peer[32];
@@ -196,7 +214,8 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "%8zu %12llu %12llu %12llu %9llu %9llu %10llu %11llu %11llu %9llu %9llu %11llu "
-          "%10llu %12llu %11llu %10llu %8llu %10llu %9llu %9zu %8.1f %8zu %11s %9s\n",
+          "%10llu %12llu %11llu %10llu %8llu %10llu %9llu %9zu %8.1f %8zu %11s %10.0f %9.0f "
+          "%9.0f %8.0f %9.0f %8.0f %10.0f %9.0f %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
           static_cast<unsigned long long>(s.events_wheeled),
           static_cast<unsigned long long>(s.availability_probes),
@@ -216,12 +235,24 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.parallel_commits),
           static_cast<unsigned long long>(s.parallel_books), s.flash_joins,
           static_cast<double>(s.cdn_bytes_served) / (1024.0 * 1024.0),
-          s.cdn_assisted_switches, bytes_per_peer, rss_mb);
+          s.cdn_assisted_switches, bytes_per_peer, kib(s.peer_state_bytes), kib(s.pool_bytes),
+          kib(s.wheel_bytes), kib(s.closure_slab_bytes), kib(s.availability_bytes),
+          kib(s.transfer_bytes), kib(s.overlay_bytes), kib(s.arena_bytes), rss_mb);
     }
   }
   if (!flags.get("csv").empty()) {
     gs::exp::write_comparison_csv(flags.get("csv"), points);
     std::printf("\nwrote %s\n", flags.get("csv").c_str());
   }
-  return 0;
+  int status = 0;
+  for (const gs::exp::ComparisonPoint& p : points) {
+    if (p.switched()) continue;
+    std::fprintf(stderr,
+                 "sweep_cli: no tracked peer prepared S2 at %zu nodes (normal %zu/%zu, fast "
+                 "%zu/%zu); its switch time and reduction are n/a\n",
+                 p.node_count, p.normal_prepared, p.normal_tracked, p.fast_prepared,
+                 p.fast_tracked);
+    status = 1;
+  }
+  return status;
 }

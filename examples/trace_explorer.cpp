@@ -5,6 +5,7 @@
 //   ./trace_explorer --in existing_trace.txt
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "net/topology.hpp"
 #include "net/trace.hpp"
@@ -23,7 +24,18 @@ int main(int argc, char** argv) {
 
   gs::net::Trace trace;
   if (!flags.get("in").empty()) {
-    trace = gs::net::parse_trace_file(flags.get("in"));
+    try {
+      trace = gs::net::parse_trace_file(flags.get("in"));
+    } catch (const std::runtime_error& e) {
+      // A missing or malformed trace is bad input: its reason, exit 2.
+      std::fprintf(stderr, "trace_explorer: %s\n", e.what());
+      return 2;
+    }
+    if (trace.nodes.empty()) {
+      std::fprintf(stderr, "trace_explorer: trace file %s has no nodes\n",
+                   flags.get("in").c_str());
+      return 2;
+    }
     std::printf("loaded trace '%s'\n", trace.name.c_str());
   } else {
     gs::net::TraceSynthesisOptions options;

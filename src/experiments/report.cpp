@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "util/csv.hpp"
 
@@ -27,6 +28,43 @@ double track_value_at(const std::vector<stream::TrackPoint>& track, double time,
   return delivered ? best->delivered_ratio_s2 : best->undelivered_ratio_s1;
 }
 
+/// A switch-time cell: "mean±ci", or "n/a" when no peer prepared.
+std::string switch_cell(std::size_t prepared, double mean, double ci) {
+  char cell[48];
+  if (prepared == 0) {
+    // 19 columns: the width "%14.2f±%4.2f" shows ("±" is one column).
+    std::snprintf(cell, sizeof(cell), "%19s", "n/a");
+  } else {
+    std::snprintf(cell, sizeof(cell), "%14.2f±%4.2f", mean, ci);
+  }
+  return cell;
+}
+
+/// A finish- or prepare-time bar, or "n/a" when no peer completed it.
+std::string time_cell(std::size_t completed, double mean) {
+  char cell[32];
+  if (completed == 0) {
+    std::snprintf(cell, sizeof(cell), "%18s", "n/a");
+  } else {
+    std::snprintf(cell, sizeof(cell), "%18.2f", mean);
+  }
+  return cell;
+}
+
+/// "prepared/tracked (fraction)", or "n/a" when nothing was tracked.
+std::string completion_cell(std::size_t prepared, std::size_t tracked) {
+  char cell[48];
+  if (tracked == 0) {
+    std::snprintf(cell, sizeof(cell), "%22s", "n/a");
+  } else {
+    char counts[32];
+    std::snprintf(counts, sizeof(counts), "%zu/%zu", prepared, tracked);
+    std::snprintf(cell, sizeof(cell), "%14s (%5.3f)", counts,
+                  static_cast<double>(prepared) / static_cast<double>(tracked));
+  }
+  return cell;
+}
+
 }  // namespace
 
 void print_ratio_tracks(const std::string& title, const stream::SwitchMetrics& fast,
@@ -48,8 +86,11 @@ void print_times_table(const std::string& title, const std::vector<ComparisonPoi
   std::printf("%8s  %18s  %18s  %18s  %18s\n", "nodes", "finish_S1(norm)", "finish_S1(fast)",
               "prepare_S2(fast)", "prepare_S2(norm)");
   for (const auto& p : points) {
-    std::printf("%8zu  %18.2f  %18.2f  %18.2f  %18.2f\n", p.node_count, p.normal_finish_time,
-                p.fast_finish_time, p.fast_switch_time, p.normal_switch_time);
+    std::printf("%8zu  %s  %s  %s  %s\n", p.node_count,
+                time_cell(p.normal_finished, p.normal_finish_time).c_str(),
+                time_cell(p.fast_finished, p.fast_finish_time).c_str(),
+                time_cell(p.fast_prepared, p.fast_switch_time).c_str(),
+                time_cell(p.normal_prepared, p.normal_switch_time).c_str());
   }
 }
 
@@ -59,9 +100,26 @@ void print_switch_reduction(const std::string& title,
   std::printf("%8s  %20s  %20s  %12s\n", "nodes", "switch_time(normal)", "switch_time(fast)",
               "reduction");
   for (const auto& p : points) {
-    std::printf("%8zu  %14.2f±%4.2f  %14.2f±%4.2f  %12.3f\n", p.node_count,
-                p.normal_switch_time, p.normal_switch_ci, p.fast_switch_time, p.fast_switch_ci,
-                p.reduction());
+    char reduction[32];
+    if (p.switched()) {
+      std::snprintf(reduction, sizeof(reduction), "%12.3f", p.reduction());
+    } else {
+      std::snprintf(reduction, sizeof(reduction), "%12s", "n/a");
+    }
+    std::printf("%8zu  %s  %s  %s\n", p.node_count,
+                switch_cell(p.normal_prepared, p.normal_switch_time, p.normal_switch_ci).c_str(),
+                switch_cell(p.fast_prepared, p.fast_switch_time, p.fast_switch_ci).c_str(),
+                reduction);
+  }
+}
+
+void print_completion(const std::string& title, const std::vector<ComparisonPoint>& points) {
+  print_header(title);
+  std::printf("%8s  %22s  %22s\n", "nodes", "prepared(normal)", "prepared(fast)");
+  for (const auto& p : points) {
+    std::printf("%8zu  %s  %s\n", p.node_count,
+                completion_cell(p.normal_prepared, p.normal_tracked).c_str(),
+                completion_cell(p.fast_prepared, p.fast_tracked).c_str());
   }
 }
 

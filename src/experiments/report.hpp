@@ -14,11 +14,18 @@ void print_ratio_tracks(const std::string& title, const stream::SwitchMetrics& f
                         const stream::SwitchMetrics& normal);
 
 /// Fig. 6 / Fig. 10: the four bars per size (normal finish, fast finish,
-/// fast prepare, normal prepare), in the paper's left-to-right order.
+/// fast prepare, normal prepare), in the paper's left-to-right order.  A
+/// bar no tracked peer completed prints "n/a".
 void print_times_table(const std::string& title, const std::vector<ComparisonPoint>& points);
 
 /// Fig. 7 / Fig. 11: average switch time per algorithm plus reduction ratio.
+/// A side where no tracked peer prepared S2 prints "n/a" (as does the
+/// reduction), never a zero switch time.
 void print_switch_reduction(const std::string& title, const std::vector<ComparisonPoint>& points);
+
+/// Completion per algorithm: tracked peers that prepared S2 (summed over
+/// trials) and that fraction; "n/a" when nothing was tracked.
+void print_completion(const std::string& title, const std::vector<ComparisonPoint>& points);
 
 /// Fig. 8 / Fig. 12: communication overhead per algorithm.
 void print_overhead(const std::string& title, const std::vector<ComparisonPoint>& points);

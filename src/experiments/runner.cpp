@@ -36,6 +36,8 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
     double fast_switch = 0.0, normal_switch = 0.0;
     double fast_finish = 0.0, normal_finish = 0.0;
     double fast_overhead = 0.0, normal_overhead = 0.0;
+    std::size_t fast_tracked = 0, fast_prepared = 0, fast_finished = 0;
+    std::size_t normal_tracked = 0, normal_prepared = 0, normal_finished = 0;
   };
   std::vector<TrialOutcome> outcomes(trials);
 
@@ -55,10 +57,16 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
       out.fast_switch = m.avg_prepared_time();
       out.fast_finish = m.avg_finish_time();
       out.fast_overhead = m.overhead_ratio;
+      out.fast_tracked = m.tracked;
+      out.fast_prepared = m.prepared_s2;
+      out.fast_finished = m.finished_s1;
     } else {
       out.normal_switch = m.avg_prepared_time();
       out.normal_finish = m.avg_finish_time();
       out.normal_overhead = m.overhead_ratio;
+      out.normal_tracked = m.tracked;
+      out.normal_prepared = m.prepared_s2;
+      out.normal_finished = m.finished_s1;
     }
   });
 
@@ -82,6 +90,12 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
     no.add(out.normal_overhead);
     fast_switches.push_back(out.fast_switch);
     normal_switches.push_back(out.normal_switch);
+    point.fast_tracked += out.fast_tracked;
+    point.fast_prepared += out.fast_prepared;
+    point.fast_finished += out.fast_finished;
+    point.normal_tracked += out.normal_tracked;
+    point.normal_prepared += out.normal_prepared;
+    point.normal_finished += out.normal_finished;
   }
   point.fast_switch_time = fs.mean();
   point.normal_switch_time = ns.mean();

@@ -38,9 +38,24 @@ struct ComparisonPoint {
   double normal_overhead = 0.0;
   double fast_switch_ci = 0.0;   ///< 95% CI half-width over trials
   double normal_switch_ci = 0.0;
+  /// Tracked peers and those that prepared S2 / finished S1, summed over
+  /// trials.  The times average the completed peers only, so a side with
+  /// no prepared (finished) peer has no switch (finish) time at all — not
+  /// a zero one.
+  std::size_t fast_tracked = 0;
+  std::size_t fast_prepared = 0;
+  std::size_t fast_finished = 0;
+  std::size_t normal_tracked = 0;
+  std::size_t normal_prepared = 0;
+  std::size_t normal_finished = 0;
 
   /// (normal - fast) / normal of the average switch times.
   [[nodiscard]] double reduction() const;
+  /// True when both algorithms prepared at least one tracked peer, i.e.
+  /// the switch times and the reduction measure something.
+  [[nodiscard]] bool switched() const noexcept {
+    return fast_prepared > 0 && normal_prepared > 0;
+  }
 };
 
 /// Runs `trials` paired comparisons at `node_count`, in parallel on the

@@ -63,6 +63,12 @@ class MembershipProtocol {
     on_edge_added_ = std::move(callback);
   }
 
+  /// Heap bytes of the live set (flags, list and index).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return alive_.capacity() * sizeof(char) + live_list_.capacity() * sizeof(net::NodeId) +
+           live_index_.capacity() * sizeof(std::size_t);
+  }
+
   [[nodiscard]] std::size_t join_count() const noexcept { return joins_; }
   [[nodiscard]] std::size_t leave_count() const noexcept { return leaves_; }
 

@@ -49,6 +49,13 @@ class Graph {
   /// BFS hop distances from `origin` (unreachable = SIZE_MAX).
   [[nodiscard]] std::vector<std::size_t> bfs_hops(NodeId origin) const;
 
+  /// Heap bytes of the adjacency lists.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    std::size_t total = adjacency_.capacity() * sizeof(std::vector<NodeId>);
+    for (const std::vector<NodeId>& list : adjacency_) total += list.capacity() * sizeof(NodeId);
+    return total;
+  }
+
  private:
   void check_node(NodeId v) const;
 

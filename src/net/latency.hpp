@@ -35,6 +35,11 @@ class LatencyModel {
   /// link_delay_s with +-20% multiplicative jitter from `rng`.
   [[nodiscard]] double jittered_delay_s(NodeId u, NodeId v, util::Rng& rng) const;
 
+  /// Heap bytes of the per-node ping table.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return ping_ms_.capacity() * sizeof(double);
+  }
+
  private:
   std::vector<double> ping_ms_;
 };

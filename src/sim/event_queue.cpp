@@ -34,6 +34,21 @@ EventQueue::WheelTelemetry EventQueue::wheel_telemetry() const noexcept {
   return out;
 }
 
+EventQueue::MemoryBytes EventQueue::memory_bytes() const noexcept {
+  MemoryBytes out;
+  for (const TimingWheel& wheel : wheels_) out.stores += wheel.memory_bytes();
+  for (const std::vector<Entry>& heap : heaps_) out.stores += heap.capacity() * sizeof(Entry);
+  out.stores += wheels_.capacity() * sizeof(TimingWheel) +
+                heaps_.capacity() * sizeof(std::vector<Entry>);
+  // One node per cancelled id (the id plus a next pointer and the cached
+  // hash) and one pointer per bucket.
+  out.slab = actions_.capacity() * sizeof(std::function<void()>) +
+             free_actions_.capacity() * sizeof(std::uint64_t) +
+             cancelled_.size() * (sizeof(EventId) + 2 * sizeof(void*)) +
+             cancelled_.bucket_count() * sizeof(void*);
+  return out;
+}
+
 std::uint64_t EventQueue::park_action(std::function<void()> action) {
   if (free_actions_.empty()) {
     actions_.push_back(std::move(action));

@@ -107,7 +107,6 @@ class EventQueue {
   /// the wheel telemetry change.  Composes with set_shard_count in either
   /// order.
   void enable_timing_wheel(double quantum);
-  [[nodiscard]] bool timing_wheel_enabled() const noexcept { return wheel_on_; }
 
   /// Wheel-plane telemetry aggregated over the shards (all zero while the
   /// heap backend is active): entries scheduled through the wheels, entries
@@ -119,6 +118,17 @@ class EventQueue {
     std::uint64_t spill_peak = 0;
   };
   [[nodiscard]] WheelTelemetry wheel_telemetry() const noexcept;
+
+  /// Heap bytes the queue retains, split by plane: the per-shard stores
+  /// (timing wheels — buckets, spares, side and spill heaps — or binary
+  /// heaps) and the closure slab (action slots, their free list and the
+  /// cancellation set).  Captures a std::function keeps on the heap are not
+  /// visible here.
+  struct MemoryBytes {
+    std::size_t stores = 0;
+    std::size_t slab = 0;
+  };
+  [[nodiscard]] MemoryBytes memory_bytes() const noexcept;
 
   /// Schedules `action` at absolute time `at` on shard 0.  Returns an id
   /// usable with cancel().  `at` may equal the current head time; ties fire

@@ -49,12 +49,16 @@ class Simulator {
   /// rng draws, event ids — is unchanged; only schedule/pop cost and the
   /// wheel telemetry differ.  Composes with enable_shards in either order.
   void enable_timing_wheel(double quantum) { queue_.enable_timing_wheel(quantum); }
-  [[nodiscard]] bool timing_wheel_enabled() const noexcept {
-    return queue_.timing_wheel_enabled();
-  }
   /// Wheel telemetry aggregated over the shards (zeros while on heaps).
   [[nodiscard]] EventQueue::WheelTelemetry wheel_telemetry() const noexcept {
     return queue_.wheel_telemetry();
+  }
+  /// Heap bytes of the pending set (see EventQueue::memory_bytes); the
+  /// batched-pop scratch counts toward the slab.
+  [[nodiscard]] EventQueue::MemoryBytes memory_bytes() const noexcept {
+    EventQueue::MemoryBytes out = queue_.memory_bytes();
+    out.slab += batch_scratch_.capacity() * sizeof(PooledBatchItem);
+    return out;
   }
 
   /// Batched pops: when enabled, a maximal run of consecutive pooled

@@ -46,13 +46,13 @@ void TimingWheel::place(QueueEntry entry, std::int64_t bucket) {
     // bucket values, one per slot.  The inclusive upper bound matters — a
     // coarse slot promoted at cursor_ = boundary - 1 spans buckets
     // [cursor_ + 1, cursor_ + kNearSlots] and must land here whole.
-    near_[static_cast<std::size_t>(bucket & kNearMask)].push_back(entry);
+    append(near_[static_cast<std::size_t>(bucket & kNearMask)], entry);
     ++near_live_;
     return;
   }
   const std::int64_t coarse = bucket >> kNearBits;
   if (coarse < coarse_cursor_ + kCoarseSlots) {
-    coarse_[static_cast<std::size_t>(coarse & kCoarseMask)].push_back(entry);
+    append(coarse_[static_cast<std::size_t>(coarse & kCoarseMask)], entry);
     ++coarse_live_;
     return;
   }
@@ -60,6 +60,27 @@ void TimingWheel::place(QueueEntry entry, std::int64_t bucket) {
   std::push_heap(spill_.begin(), spill_.end(), QueueEntryLater{});
   telemetry_.spill_peak =
       std::max<std::uint64_t>(telemetry_.spill_peak, spill_.size());
+}
+
+void TimingWheel::append(std::vector<QueueEntry>& slot, const QueueEntry& entry) {
+  if (slot.capacity() == 0 && !spares_.empty()) {
+    slot.swap(spares_.back());
+    spares_.pop_back();
+    spare_entries_ -= slot.capacity();
+  }
+  slot.push_back(entry);
+}
+
+void TimingWheel::recycle(std::vector<QueueEntry>& slot) {
+  if (slot.capacity() == 0) return;
+  if (spare_entries_ + slot.capacity() > size_) {
+    // The spares already cover every resident entry: free instead.
+    std::vector<QueueEntry>().swap(slot);
+    return;
+  }
+  slot.clear();
+  spare_entries_ += slot.capacity();
+  spares_.emplace_back().swap(slot);
 }
 
 void TimingWheel::promote_coarse() {
@@ -70,7 +91,7 @@ void TimingWheel::promote_coarse() {
     const std::int64_t bucket = bucket_of(e.at);
     place(e, bucket);
   }
-  slot.clear();
+  recycle(slot);
 }
 
 void TimingWheel::pull_spill() {
@@ -119,7 +140,7 @@ void TimingWheel::advance() {
     // sequence) key — ids are unique, so the order is total and the drain
     // reproduces the binary heap's pop sequence bit for bit.
     near_live_ -= slot.size();
-    front_.clear();
+    recycle(front_);
     front_.swap(slot);
     front_pos_ = 0;
     std::sort(front_.begin(), front_.end(), [](const QueueEntry& a, const QueueEntry& b) {
@@ -154,6 +175,16 @@ QueueEntry TimingWheel::pop() {
   QueueEntry out = side_.back();
   side_.pop_back();
   return out;
+}
+
+std::size_t TimingWheel::memory_bytes() const noexcept {
+  std::size_t entries = front_.capacity() + side_.capacity() + spill_.capacity();
+  for (const std::vector<QueueEntry>& slot : near_) entries += slot.capacity();
+  for (const std::vector<QueueEntry>& slot : coarse_) entries += slot.capacity();
+  for (const std::vector<QueueEntry>& spare : spares_) entries += spare.capacity();
+  return entries * sizeof(QueueEntry) +
+         (near_.capacity() + coarse_.capacity() + spares_.capacity()) *
+             sizeof(std::vector<QueueEntry>);
 }
 
 void TimingWheel::clear() noexcept {

@@ -28,6 +28,15 @@
 // top()/pop() pair merges with the sorted front bucket by (time, id).  Both
 // planes hold only entries at or below the cursor while the wheels hold only
 // entries above it, so the merge never crosses the bucket order.
+//
+// Storage rule: a slot owns heap storage only while it holds entries.  A
+// drained bucket's storage (the previous front, or a coarse slot once it
+// scattered) goes onto a spare list, and the next append to an empty slot
+// takes a spare before allocating.  The spare list never holds more
+// capacity than there are resident entries; storage beyond that is freed.
+// Retained bytes therefore follow the number of entries resident at once,
+// not the sum of every slot's high-water mark; the pop order is untouched
+// (storage never moves an entry between buckets).
 #pragma once
 
 #include <cstdint>
@@ -125,6 +134,10 @@ class TimingWheel {
 
   [[nodiscard]] const Telemetry& telemetry() const noexcept { return telemetry_; }
 
+  /// Heap bytes retained: slot storage (near, coarse, front), the spare
+  /// list, and the side and spill heaps.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
  private:
   static constexpr int kNearBits = 8;  ///< 256 one-quantum near buckets
   static constexpr std::int64_t kNearSlots = std::int64_t{1} << kNearBits;
@@ -140,6 +153,12 @@ class TimingWheel {
 
   /// Routes an entry to side/near/coarse/spill by its bucket index.
   void place(QueueEntry entry, std::int64_t bucket);
+  /// Appends to a wheel slot, handing an empty slot a spare's storage
+  /// before the append would allocate.
+  void append(std::vector<QueueEntry>& slot, const QueueEntry& entry);
+  /// Empties `slot` and parks its storage on the spare list, or frees it
+  /// when the spares already hold as many entries as are resident.
+  void recycle(std::vector<QueueEntry>& slot);
   /// Scatters the coarse slot at coarse_cursor_ into the near wheel.
   void promote_coarse();
   /// Moves spill entries that entered the coarse horizon into the wheels.
@@ -165,6 +184,10 @@ class TimingWheel {
   std::vector<QueueEntry> spill_;  ///< (time, id) min-heap beyond the coarse horizon
   std::vector<QueueEntry> side_;   ///< (time, id) min-heap of late arrivals (bucket <= cursor_)
   std::vector<QueueEntry> front_;  ///< current bucket, ascending (time, id)
+  /// Drained bucket storage (empty, capacity > 0), reused LIFO by append().
+  std::vector<std::vector<QueueEntry>> spares_;
+  /// Total capacity of spares_, in entries; kept <= size_ when parking.
+  std::size_t spare_entries_ = 0;
   std::size_t front_pos_ = 0;
   std::size_t near_live_ = 0;
   std::size_t coarse_live_ = 0;

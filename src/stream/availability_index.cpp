@@ -289,6 +289,16 @@ void AvailabilityIndex::remove_peer(const net::Graph& graph, const std::vector<P
   pool_->has_work(v) = 0;
 }
 
+std::size_t AvailabilityIndex::memory_bytes() const noexcept {
+  std::size_t total = views_.capacity() * sizeof(View);
+  for (const View& w : views_) {
+    total += w.alive_neighbors.capacity() * sizeof(net::NodeId) +
+             w.supplier_count.capacity() * sizeof(std::uint16_t) + w.supplied.memory_bytes() +
+             w.work_mask.memory_bytes();
+  }
+  return total;
+}
+
 void AvailabilityIndex::connect(const std::vector<PeerNode>& peers, net::NodeId u,
                                 net::NodeId v) {
   for (const auto& [self, other] : {std::pair{u, v}, std::pair{v, u}}) {

@@ -176,6 +176,10 @@ class AvailabilityIndex {
   /// Delta events applied since build() (diagnostics).
   [[nodiscard]] std::uint64_t updates_applied() const noexcept { return updates_; }
 
+  /// Heap bytes of every view: neighbour lists, supplier counts, supplied
+  /// bitsets and work masks, plus the view array itself.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+
  private:
   /// Sizes `v`'s view (window arrays, neighbour list, work mask) so that
   /// fill_view allocates nothing; build() runs it on the calling thread.

@@ -318,14 +318,37 @@ struct EngineStats {
   std::uint64_t cdn_resumes = 0;
   double cdn_mean_assist_s = 0.0;
   /// Memory-plane telemetry, filled at the end of run(): heap bytes of all
-  /// per-peer state (SoA pool + each node's containers), the same divided
-  /// by the final peer count (NaN when there are no peers to divide by —
-  /// absent telemetry, distinguishable from a genuine 0), and the
-  /// process-wide peak RSS (0 when the platform offers no probe — report
-  /// it as "n/a", not as 0 bytes; includes non-peer state by nature).
+  /// per-peer state (SoA pool + the node array + each node's containers; a
+  /// departed peer keeps only its node and pool slot), the same divided by
+  /// the live peer count (NaN when no peer is live — absent telemetry,
+  /// distinguishable from a genuine 0), and the process-wide peak RSS (0
+  /// when the platform offers no probe — report it as "n/a", not as 0
+  /// bytes; includes non-peer state by nature).
   std::uint64_t peer_state_bytes = 0;
   double bytes_per_peer = 0.0;
   std::uint64_t peak_rss_bytes = 0;
+  /// Per-plane memory ledger, heap bytes retained at the end of run():
+  /// the SoA peer pool (already inside peer_state_bytes), the event plane's
+  /// timing wheels (buckets, spares, side and spill heaps) and closure slab
+  /// (action slots, free list, cancellation set, batch scratch), the
+  /// availability views, the transfer plane (uplink FIFOs + capacity
+  /// model), the overlay (graph, latency table, membership live set) and
+  /// the plan arenas (sequential and per-lane chunks).  The sharded core's
+  /// other wave scratch is not in the ledger.  Artifacts for locating
+  /// memory, not gates.
+  std::uint64_t pool_bytes = 0;
+  std::uint64_t wheel_bytes = 0;
+  std::uint64_t closure_slab_bytes = 0;
+  std::uint64_t availability_bytes = 0;
+  std::uint64_t transfer_bytes = 0;
+  std::uint64_t overlay_bytes = 0;
+  std::uint64_t arena_bytes = 0;
+
+  /// Sum of the ledger's disjoint planes.
+  [[nodiscard]] std::uint64_t ledger_bytes() const noexcept {
+    return peer_state_bytes + wheel_bytes + closure_slab_bytes + availability_bytes +
+           transfer_bytes + overlay_bytes + arena_bytes;
+  }
 };
 
 class Engine {

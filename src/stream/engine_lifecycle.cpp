@@ -119,6 +119,14 @@ void Engine::churn_step(double now) {
   (void)now;
 }
 
+// Reclaim rule: after leave, nothing reads a departed peer's cold state.
+// Every later touch of peers_[v] — issue_one, cdn_window_covered,
+// on_delivery, on_cdn_delivery, the delivery wave, handle_join, the debug
+// series, sample_tracks — is guarded by alive(), and the availability views
+// dropped v from every neighbour list, so handle_leave frees the buffer,
+// received set, pending book, advertised map and playback ring outright.
+// The one unguarded write is an in-flight delivery's pending.erase, which
+// the empty book absorbs.
 void Engine::handle_leave(net::NodeId v) {
   PeerNode& p = peers_[v];
   GS_CHECK(p.alive());
@@ -132,6 +140,8 @@ void Engine::handle_leave(net::NodeId v) {
   // edges; the repair edges membership adds below re-enter via connect().
   availability_.remove_peer(graph_, peers_, v);
   membership_.leave(v);
+  // Both calls above still read v's buffer head and boundary.
+  p.release();
   ++stats_.leaves;
   if (p.tracked() && p.active_switch() >= 0) {
     SwitchMetrics& m = timeline_.metrics(p.active_switch());
@@ -356,8 +366,10 @@ std::vector<SwitchMetrics> Engine::run() {
   // the lanes went quiet (runs too short to arm the fence report 0 in
   // arena_warm_chunks, which the tightened test rejects).
   std::uint64_t arena_chunks = 0;
+  stats_.arena_bytes = plan_arena_.capacity_bytes();
   for (const std::unique_ptr<util::Arena>& a : lane_arenas_) {
     arena_chunks += a->chunk_allocations();
+    stats_.arena_bytes += a->capacity_bytes();
   }
   stats_.arena_chunks = arena_chunks;
   stats_.arena_warm_chunks = arena_warm_marked_ ? arena_warm_chunks_ : 0;
@@ -371,14 +383,27 @@ std::vector<SwitchMetrics> Engine::run() {
 
   // Memory-plane telemetry: heap footprint of all per-peer state plus the
   // process high-water mark (the latter includes non-peer state by nature).
-  std::uint64_t peer_bytes = pool_.memory_bytes();
-  for (const PeerNode& p : peers_) peer_bytes += p.memory_bytes();
+  stats_.pool_bytes = pool_.memory_bytes();
+  std::uint64_t peer_bytes = stats_.pool_bytes + peers_.capacity() * sizeof(PeerNode);
+  std::size_t live_peers = 0;
+  for (const PeerNode& p : peers_) {
+    peer_bytes += p.heap_bytes();
+    if (p.alive()) ++live_peers;
+  }
   stats_.peer_state_bytes = peer_bytes;
-  // NaN (not 0.0) when there are no peers: consumers must be able to tell
-  // "telemetry absent" from a genuine zero-byte measurement.
-  stats_.bytes_per_peer = peers_.empty() ? std::numeric_limits<double>::quiet_NaN()
-                                         : static_cast<double>(peer_bytes) /
-                                               static_cast<double>(peers_.size());
+  // Per live peer, so departed slots do not dilute it.  NaN (not 0.0) when
+  // no peer is live: consumers must be able to tell "telemetry absent" from
+  // a genuine zero-byte measurement.
+  stats_.bytes_per_peer = live_peers == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                          : static_cast<double>(peer_bytes) /
+                                                static_cast<double>(live_peers);
+  const sim::EventQueue::MemoryBytes events = sim_.memory_bytes();
+  stats_.wheel_bytes = events.stores;
+  stats_.closure_slab_bytes = events.slab;
+  stats_.availability_bytes = availability_.memory_bytes();
+  stats_.transfer_bytes = transfers_.memory_bytes();
+  stats_.overlay_bytes =
+      graph_.memory_bytes() + latency_.memory_bytes() + membership_.memory_bytes();
   // 0 means /proc (or the platform equivalent) is absent — report "n/a"
   // downstream, never "0.0 MiB".
   stats_.peak_rss_bytes = util::peak_rss_bytes();

@@ -48,10 +48,17 @@ void PeerNode::extend_start_run() {
   }
 }
 
-std::size_t PeerNode::memory_bytes() const noexcept {
-  return sizeof(PeerNode) + buffer.memory_bytes() + playback.memory_bytes() +
-         received.memory_bytes() + pending.memory_bytes() +
-         advertised_map.memory_bytes();
+void PeerNode::release() {
+  buffer = StreamBuffer(buffer.capacity());
+  playback = Playback(playback.rate());
+  received = util::DynamicBitset();
+  pending = util::FlatSegmentMap<double>();
+  advertised_map = gossip::BufferMap();
+}
+
+std::size_t PeerNode::heap_bytes() const noexcept {
+  return buffer.memory_bytes() + playback.memory_bytes() + received.memory_bytes() +
+         pending.memory_bytes() + advertised_map.memory_bytes();
 }
 
 }  // namespace gs::stream

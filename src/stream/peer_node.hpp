@@ -159,8 +159,15 @@ struct PeerNode {
   void extend_start_run();
 
   /// Heap bytes owned by this node's cold state (buffer, playback, received
-  /// set, pending book, advertised map) plus the node itself.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept;
+  /// set, pending book, advertised map); the node itself is not included.
+  [[nodiscard]] std::size_t heap_bytes() const noexcept;
+
+  /// Frees the cold state of a departed peer: buffer, playback, received
+  /// set, pending book and advertised map become empty, owning no heap.
+  /// The pool slot, the id, the rng and the diagnostics counters stay.
+  /// Only for peers that left: nothing may read the released state, and
+  /// an in-flight delivery's pending.erase on the empty book is a no-op.
+  void release();
 
  private:
   [[nodiscard]] PeerPool& pool() const {

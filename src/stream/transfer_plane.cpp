@@ -58,6 +58,11 @@ class SharedFifoCapacity final : public CapacityModel {
     }
   }
 
+  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+    // Plane-backed storage is counted by the plane.
+    return owned_.capacity() * sizeof(double);
+  }
+
  private:
   std::vector<double> owned_;
   std::vector<double>& uplink_busy_until_;
@@ -87,6 +92,17 @@ class PerLinkCapacity final : public CapacityModel {
 
   void ensure_nodes(std::size_t count) override {
     if (link_busy_until_.size() < count) link_busy_until_.resize(count);
+  }
+
+  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+    using Links = std::unordered_map<net::NodeId, double>;
+    std::size_t total = link_busy_until_.capacity() * sizeof(Links);
+    for (const Links& links : link_busy_until_) {
+      // One pointer per bucket; one node (next pointer + entry) per link.
+      total += links.bucket_count() * sizeof(void*) +
+               links.size() * (sizeof(void*) + sizeof(Links::value_type));
+    }
+    return total;
   }
 
  private:
@@ -132,6 +148,10 @@ class TokenBucketCapacity final : public CapacityModel {
 
   void ensure_nodes(std::size_t count) override {
     if (buckets_.size() < count) buckets_.resize(count);
+  }
+
+  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
+    return buckets_.capacity() * sizeof(Bucket);
   }
 
  private:
@@ -264,6 +284,10 @@ void TransferPlane::on_event(std::uint64_t a, std::uint64_t b) {
 void TransferPlane::on_batch(const sim::PooledBatchItem* items, std::size_t count) {
   // batchable() guarantees the handler exists whenever the queue batches.
   on_delivery_batch_(items, count);
+}
+
+std::size_t TransferPlane::memory_bytes() const noexcept {
+  return uplink_busy_until_.capacity() * sizeof(double) + capacity_->memory_bytes();
 }
 
 double TransferPlane::uplink_busy_until(net::NodeId v) const {

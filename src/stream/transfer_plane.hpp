@@ -79,6 +79,9 @@ class CapacityModel {
 
   /// Grows per-node state to cover node ids < `count` (overlay joins).
   virtual void ensure_nodes(std::size_t count) = 0;
+
+  /// Heap bytes of the model's own per-node state.
+  [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
 };
 
 /// Standalone capacity-model factory: a self-contained model of `kind`
@@ -153,6 +156,9 @@ class TransferPlane final : public sim::EventSink {
 
   /// Absolute time `v`'s uplink FIFO frees up (inspection/tests).
   [[nodiscard]] double uplink_busy_until(net::NodeId v) const;
+
+  /// Heap bytes of the uplink FIFO vector plus the capacity model's state.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Installs the batched delivery drain: with a handler set (and the
   /// simulator's batch pop enabled) consecutive delivery events are popped

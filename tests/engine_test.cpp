@@ -175,6 +175,32 @@ TEST(Engine, ChurnKeepsPopulationStable) {
   EXPECT_NEAR(static_cast<double>(alive), 80.0, 12.0);
 }
 
+TEST(Engine, DepartedPeersReleaseTheirColdState) {
+  EngineConfig config = small_config(21);
+  config.churn_leave_fraction = 0.05;
+  config.churn_join_fraction = 0.05;
+  auto engine = make_engine(80, 21, config);
+  (void)engine->run();
+  ASSERT_GT(engine->stats().leaves, 0u);
+  std::size_t departed = 0;
+  std::size_t live = 0;
+  for (std::size_t v = 0; v < engine->peer_count(); ++v) {
+    const PeerNode& p = engine->peer(static_cast<net::NodeId>(v));
+    if (p.alive()) {
+      ++live;
+      continue;
+    }
+    ++departed;
+    // Buffer, playback ring, received set, pending book and advertised map
+    // own no heap once the peer left.
+    EXPECT_EQ(p.heap_bytes(), 0u) << "departed peer " << v;
+  }
+  EXPECT_EQ(departed, engine->stats().leaves);
+  // bytes_per_peer averages over the live peers only.
+  EXPECT_NEAR(engine->stats().bytes_per_peer * static_cast<double>(live),
+              static_cast<double>(engine->stats().peer_state_bytes), 1.0);
+}
+
 TEST(Engine, MultiSwitchSerialSessions) {
   SmallWorld world = make_world(60, 23);
   EngineConfig config = small_config(23);

@@ -183,6 +183,11 @@ TEST(Runner, ComparisonPointPaired) {
   EXPECT_GT(point.fast_switch_time, 0.0);
   EXPECT_GT(point.normal_switch_time, 0.0);
   EXPECT_GT(point.fast_overhead, 0.0);
+  // Both trials' tracked and prepared peers are summed per algorithm.
+  EXPECT_GT(point.fast_tracked, 80u);
+  EXPECT_GT(point.fast_prepared, 0u);
+  EXPECT_LE(point.fast_prepared, point.fast_tracked);
+  EXPECT_TRUE(point.switched());
   // Reduction is (normal - fast)/normal of the stored means.
   EXPECT_NEAR(point.reduction(),
               (point.normal_switch_time - point.fast_switch_time) / point.normal_switch_time,

@@ -38,6 +38,9 @@ ComparisonPoint make_point(std::size_t nodes) {
   p.fast_finish_time = 8.5;
   p.normal_overhead = 0.015;
   p.fast_overhead = 0.013;
+  p.normal_tracked = p.fast_tracked = 3 * nodes;
+  p.normal_prepared = p.fast_prepared = 3 * nodes;
+  p.normal_finished = p.fast_finished = 3 * nodes;
   return p;
 }
 
@@ -75,6 +78,28 @@ TEST(Report, SwitchReductionComputesRatio) {
   const std::string out = ::testing::internal::GetCapturedStdout();
   // (20 - 15) / 20 = 0.25.
   EXPECT_NE(out.find("0.250"), std::string::npos);
+}
+
+TEST(Report, NoPreparedPeerPrintsNotApplicableNotZero) {
+  ComparisonPoint p = make_point(300);
+  p.fast_prepared = 0;
+  p.fast_switch_time = 0.0;
+  p.normal_prepared = 2;
+  ::testing::internal::CaptureStdout();
+  print_switch_reduction("t", {p});
+  print_times_table("t", {p});
+  print_completion("t", {p});
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(out.find(" 0.00±"), std::string::npos) << out;
+  EXPECT_NE(out.find("20.00±"), std::string::npos) << "the normal side still measured";
+  // Fast switch time, reduction and the fast prepare bar.
+  std::size_t na = 0;
+  for (std::size_t at = out.find("n/a"); at != std::string::npos; at = out.find("n/a", at + 1)) {
+    ++na;
+  }
+  EXPECT_EQ(na, 3u) << out;
+  EXPECT_NE(out.find("0/900 (0.000)"), std::string::npos) << out;
+  EXPECT_NE(out.find("2/900 (0.002)"), std::string::npos) << out;
 }
 
 TEST(Report, OverheadPrintsBothColumns) {

@@ -1,12 +1,14 @@
 // Event queue ordering/cancellation and simulator clock semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/periodic.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timing_wheel.hpp"
 
 namespace gs::sim {
 namespace {
@@ -136,6 +138,47 @@ TEST(EventQueue, ClosureMayScheduleClosuresFromItsOwnAction) {
     while (!q.empty()) q.pop_and_run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   }
+}
+
+TEST(TimingWheel, RetainedBytesFollowLiveEntriesNotSlotHighWater) {
+  // A rolling burst walks the cursor over 2000 buckets — every near slot
+  // many times over, and through the coarse wheel: each step schedules 500
+  // entries three buckets ahead plus 20 entries 300 buckets ahead, then
+  // drains one bucket.  Only a few thousand entries are ever live at once,
+  // so retained storage must stay within a small multiple of that peak.  A
+  // wheel whose drained slots keep their capacity retains every near and
+  // coarse slot's high-water mark instead (tens of times the peak).
+  TimingWheel wheel(1.0);
+  EventId id = 0;
+  std::size_t peak_live = 0;
+  std::size_t popped = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const double now = static_cast<double>(step);
+    for (int i = 0; i < 500; ++i) {
+      wheel.push({now + 3.0 + i / 500.0, ++id, nullptr, 0, 0});
+    }
+    for (int i = 0; i < 20; ++i) {
+      wheel.push({now + 300.0 + i / 20.0, ++id, nullptr, 0, 0});
+    }
+    peak_live = std::max(peak_live, wheel.size());
+    Time last = -1.0;
+    while (!wheel.empty() && wheel.top().at < now + 1.0) {
+      const QueueEntry e = wheel.pop();
+      ASSERT_GE(e.at, last);
+      last = e.at;
+      ++popped;
+    }
+  }
+  EXPECT_GT(popped, 900000u);
+  const std::size_t peak_bytes = peak_live * sizeof(QueueEntry);
+  EXPECT_LE(wheel.memory_bytes(), 4 * peak_bytes)
+      << "retained " << wheel.memory_bytes() << " B for at most " << peak_live
+      << " live entries";
+  // Draining everything keeps the storage on the spare list, not in slots:
+  // the total does not grow past the live-driven figure.
+  const std::size_t before = wheel.memory_bytes();
+  while (!wheel.empty()) (void)wheel.pop();
+  EXPECT_LE(wheel.memory_bytes(), before);
 }
 
 TEST(Simulator, ClockAdvances) {

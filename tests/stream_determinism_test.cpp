@@ -384,8 +384,9 @@ TEST(PeerPool, ReportsMemoryTelemetry) {
   const RunOutput out = run_setup(setup);
   EXPECT_GT(out.stats.peer_state_bytes, 0u);
   EXPECT_GT(out.stats.bytes_per_peer, 0.0);
-  // bytes_per_peer averages over every peer the run ever had.
-  EXPECT_NEAR(out.stats.bytes_per_peer * static_cast<double>(50 + out.stats.joins),
+  // bytes_per_peer averages over the live peers.
+  EXPECT_NEAR(out.stats.bytes_per_peer *
+                  static_cast<double>(50 + out.stats.joins - out.stats.leaves),
               static_cast<double>(out.stats.peer_state_bytes), 1.0);
 }
 
