@@ -140,14 +140,11 @@ void BM_StreamBufferInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBufferInsert);
 
-// Closure events, heap (wheel=0) vs timing-wheel (wheel=1) backend on the
-// same workload: the row pair isolates the O(log n) sift vs O(1) bucket
-// append schedule cost (pop order is identical by contract).
+// Closure events through the bare queue (one timing wheel at quantum 1):
+// schedule cost is a bucket append, pops walk sorted buckets.
 void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const bool wheel = state.range(1) != 0;
   for (auto _ : state) {
     gs::sim::EventQueue queue;
-    if (wheel) queue.enable_timing_wheel(1.0);
     int sink = 0;
     for (int i = 0; i < state.range(0); ++i) {
       queue.schedule(static_cast<double>((i * 7919) % 1000), [&sink] { ++sink; });
@@ -157,12 +154,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueScheduleRun)
-    ->ArgNames({"events", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_EventQueueScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
 /// Pooled plain-struct events on the same workload as the closure variant
 /// above: the delta is the per-event std::function allocation.
@@ -172,10 +164,8 @@ struct CountingSink final : gs::sim::EventSink {
 };
 
 void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
-  const bool wheel = state.range(1) != 0;
   for (auto _ : state) {
     gs::sim::EventQueue queue;
-    if (wheel) queue.enable_timing_wheel(1.0);
     CountingSink sink;
     for (int i = 0; i < state.range(0); ++i) {
       queue.schedule(static_cast<double>((i * 7919) % 1000), sink,
@@ -186,12 +176,7 @@ void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueuePooledScheduleRun)
-    ->ArgNames({"events", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_EventQueuePooledScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
 // Engine cost: a full (trimmed-horizon) switch experiment per iteration on
 // the sequential engine.  events_popped counts the simulator events (one

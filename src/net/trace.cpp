@@ -32,6 +32,21 @@ Trace parse_trace(std::istream& in) {
     throw std::runtime_error("trace parse error at line " + std::to_string(line_number) + ": " +
                              what);
   };
+  // A record ends at its last field: anything after it is a typo the
+  // extraction above would otherwise silently drop.
+  auto expect_end = [&](std::istringstream& fields) {
+    std::string extra;
+    if (fields >> extra) fail("unexpected trailing field '" + extra + "'");
+  };
+  // Pings become link delays and speeds become rates: a negative or
+  // non-finite value would reach the simulator as a negative delay.
+  auto expect_measure = [&](double value, const char* field) {
+    if (!std::isfinite(value) || value < 0.0) {
+      std::ostringstream what;
+      what << field << " must be a finite non-negative number, got " << value;
+      fail(what.str());
+    }
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
@@ -45,12 +60,16 @@ Trace parse_trace(std::istream& in) {
       if (!(fields >> node.id >> node.ip >> node.port >> node.ping_ms >> node.speed_kbps)) {
         fail("bad node record");
       }
+      expect_end(fields);
+      expect_measure(node.ping_ms, "ping_ms");
+      expect_measure(node.speed_kbps, "speed_kbps");
       if (node.id != trace.nodes.size()) fail("node ids must be dense and ascending");
       trace.nodes.push_back(std::move(node));
     } else if (kind == "edge") {
       NodeId u = 0;
       NodeId v = 0;
       if (!(fields >> u >> v)) fail("bad edge record");
+      expect_end(fields);
       if (u >= trace.nodes.size() || v >= trace.nodes.size()) fail("edge endpoint out of range");
       trace.edges.emplace_back(u, v);
     } else {

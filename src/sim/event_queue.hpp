@@ -4,13 +4,12 @@
 // same-time events fire in insertion order, which keeps runs bit-for-bit
 // reproducible regardless of the backing store's internals.
 //
-// Two interchangeable backends store the pending set:
-//   - binary heaps (the default): O(log n) schedule and pop;
-//   - hierarchical timing wheels (enable_timing_wheel): amortized O(1)
-//     schedule and O(bucket) pops — see sim/timing_wheel.hpp.  Each bucket
-//     drains through a stable (time, sequence) sort, so the pop order (and
-//     therefore every fixed-seed metric downstream) is bit-identical to the
-//     heap backend; only the schedule/pop cost changes.
+// The store is a hierarchical timing wheel per shard (sim/timing_wheel.hpp)
+// quantized at a constructor-given quantum (the engine passes its tick
+// cadence): amortized O(1) schedule and O(bucket) pops.  Each bucket drains
+// through a (time, sequence) sort, so the pop order is exactly a stable
+// sort of the schedule by time — the contract sim_property_test checks
+// against a binary-heap oracle.
 //
 // The queue is optionally *sharded*: set_shard_count(P) partitions the
 // pending set into P independent stores, and schedule_on(shard, ...) places
@@ -87,7 +86,10 @@ class EventSink {
 
 class EventQueue {
  public:
-  EventQueue() : heaps_(1) {}
+  /// One shard whose wheel is quantized at `quantum` seconds (> 0).  Any
+  /// quantum gives the same pop order; it only sets the bucket width, so
+  /// it should match the cadence of the dominant re-arming events.
+  explicit EventQueue(double quantum = 1.0) : wheels_(1, TimingWheel(quantum)) {}
 
   /// Partitions the pending set into `shards` independent stores (>= 1).
   /// Must be called while the queue is empty — pending events are never
@@ -95,23 +97,11 @@ class EventQueue {
   /// entries between schedule_on targets).  Pop order is unaffected (global
   /// (time, sequence) merge); only schedule_on targets change meaning.
   void set_shard_count(std::size_t shards);
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return wheel_on_ ? wheels_.size() : heaps_.size();
-  }
+  [[nodiscard]] std::size_t shard_count() const noexcept { return wheels_.size(); }
 
-  /// Swaps the backing store from per-shard binary heaps to per-shard
-  /// hierarchical timing wheels quantized at `quantum` seconds (the tick
-  /// cadence, for the engine).  Must be called while the queue is empty.
-  /// Pop order is bit-identical to the heap backend (each bucket drains
-  /// through a stable (time, sequence) sort); only schedule/pop cost and
-  /// the wheel telemetry change.  Composes with set_shard_count in either
-  /// order.
-  void enable_timing_wheel(double quantum);
-
-  /// Wheel-plane telemetry aggregated over the shards (all zero while the
-  /// heap backend is active): entries scheduled through the wheels, entries
-  /// promoted from the overflow wheel / spill heap into finer levels, and
-  /// the spill heap's peak occupancy (max across shards).
+  /// Wheel-plane telemetry aggregated over the shards: entries scheduled,
+  /// entries promoted from the overflow wheel / spill heap into finer
+  /// levels, and the spill heap's peak occupancy (max across shards).
   struct WheelTelemetry {
     std::uint64_t scheduled = 0;
     std::uint64_t overflow_promotions = 0;
@@ -119,11 +109,10 @@ class EventQueue {
   };
   [[nodiscard]] WheelTelemetry wheel_telemetry() const noexcept;
 
-  /// Heap bytes the queue retains, split by plane: the per-shard stores
-  /// (timing wheels — buckets, spares, side and spill heaps — or binary
-  /// heaps) and the closure slab (action slots, their free list and the
-  /// cancellation set).  Captures a std::function keeps on the heap are not
-  /// visible here.
+  /// Heap bytes the queue retains, split by plane: the per-shard timing
+  /// wheels (buckets, spares, side and spill heaps) and the closure slab
+  /// (action slots, their free list and the cancellation set).  Captures a
+  /// std::function keeps on the heap are not visible here.
   struct MemoryBytes {
     std::size_t stores = 0;
     std::size_t slab = 0;
@@ -186,10 +175,6 @@ class EventQueue {
   using Later = QueueEntryLater;
 
   EventId push_entry(std::size_t shard, Entry entry);
-  /// Backend-neutral shard primitives: occupancy, head peek, head removal.
-  [[nodiscard]] bool shard_has(std::size_t shard) const;
-  [[nodiscard]] const Entry& shard_head(std::size_t shard);
-  Entry shard_take(std::size_t shard);
   /// Removes cancelled entries sitting at `shard`'s head (a dropped
   /// closure's slab slot is released with it).
   void skip_cancelled(std::size_t shard);
@@ -209,13 +194,8 @@ class EventQueue {
   /// the caller's scratch memory.
   static constexpr std::size_t kMaxBatch = 4096;
 
-  /// One binary heap per shard (heap backend; the unsharded queue is the
-  /// 1-shard case).  Unused while the wheel backend is active.
-  std::vector<std::vector<Entry>> heaps_;
-  /// One timing wheel per shard (wheel backend; see enable_timing_wheel).
+  /// One timing wheel per shard (the unsharded queue is the 1-shard case).
   std::vector<TimingWheel> wheels_;
-  bool wheel_on_ = false;
-  double wheel_quantum_ = 1.0;
   /// Closure slab indexed by a closure entry's payload word `a`; freed
   /// slots (empty functions) are listed in free_actions_ for reuse.
   std::vector<std::function<void()>> actions_;

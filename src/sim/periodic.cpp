@@ -38,7 +38,7 @@ void PeriodicTask::arm(Time when) {
 
 // ---------------------------------------------------------- BatchTicker ---
 
-BatchTicker::BatchTicker(Simulator& sim, Time period, Sweep sweep)
+BatchTicker::BatchTicker(Simulator& sim, Time period, BatchSweep sweep)
     : sim_(sim), period_(period), sweep_(std::move(sweep)) {
   GS_CHECK_GT(period, 0.0);
   GS_CHECK(sweep_ != nullptr);
@@ -94,18 +94,12 @@ void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
   // singletons) may reallocate groups_; mutating this group's own member
   // list mid-sweep is rejected by add_member/remove_member.
   groups_[index].sweeping = true;
-  if (batch_sweep_) {
-    // Hand the callback a stable copy: a sweep that creates other groups
-    // (joiner singletons) may reallocate groups_, which would dangle a
-    // reference into it.  The scratch keeps its capacity, so steady state
-    // is one memcpy per sweep, no allocation.
-    batch_scratch_.assign(groups_[index].members.begin(), groups_[index].members.end());
-    batch_sweep_(batch_scratch_, now);
-  } else {
-    for (std::size_t i = 0; i < groups_[index].members.size(); ++i) {
-      sweep_(groups_[index].members[i], now);
-    }
-  }
+  // Hand the callback a stable copy: a sweep that creates other groups
+  // (joiner singletons) may reallocate groups_, which would dangle a
+  // reference into it.  The scratch keeps its capacity, so steady state is
+  // one memcpy per sweep, no allocation.
+  batch_scratch_.assign(groups_[index].members.begin(), groups_[index].members.end());
+  sweep_(batch_scratch_, now);
   groups_[index].sweeping = false;
   Group& group = groups_[index];
   if (group.members.empty()) return;  // dormant: every member was removed
@@ -118,9 +112,8 @@ void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
 }
 
 void BatchTicker::on_batch(const PooledBatchItem* items, std::size_t count) {
-  if (count <= 1 || !batch_sweep_) {
-    // Per-group dispatch: byte-for-byte the unbatched pop sequence.
-    for (std::size_t i = 0; i < count; ++i) on_event(items[i].a, items[i].b);
+  if (count == 1) {
+    on_event(items[0].a, items[0].b);  // byte-for-byte the unbatched pop
     return;
   }
   // Super-batch: every item is a group firing at the same timestamp
@@ -141,7 +134,7 @@ void BatchTicker::on_batch(const PooledBatchItem* items, std::size_t count) {
     group.sweeping = true;
     batch_scratch_.insert(batch_scratch_.end(), group.members.begin(), group.members.end());
   }
-  batch_sweep_(batch_scratch_, now);
+  sweep_(batch_scratch_, now);
   for (std::size_t i = 0; i < count; ++i) {
     const auto index = static_cast<std::size_t>(items[i].a);
     Group& group = groups_[index];

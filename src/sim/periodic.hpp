@@ -51,11 +51,11 @@ class PeriodicTask {
 
 /// Batched tick dispatch: each group holds members that tick at the same
 /// times (`first + k * period`), and one pooled simulator event per group
-/// per period sweeps them all.
+/// per period hands the whole member list to the sweep callback.
 ///
-/// The dispatch order is *exactly* the order the equivalent per-member
-/// PeriodicTasks would produce, which is what lets fixed-seed runs stay
-/// bit-identical when switching between the two dispatch modes:
+/// A sweep that visits its members in list order sees *exactly* the
+/// (time, member) sequence the equivalent per-member PeriodicTasks would
+/// produce (sim_property_test checks this):
 ///   - members of a group are swept in add order (a per-member task armed
 ///     later would carry a later event sequence number);
 ///   - groups whose fire times tie run in group-creation order (creation
@@ -69,10 +69,10 @@ class PeriodicTask {
 ///
 /// Under batched pops (Simulator::enable_batch_pop) the ticker additionally
 /// *super-batches*: a run of groups firing at the same timestamp arrives as
-/// one on_batch call, and with a whole-group BatchSweep installed their
-/// member lists are concatenated (item order, members in add order) into a
-/// SINGLE sweep — one pre/plan/commit pipeline pass covers every tied group
-/// instead of one fork/join per group.  This reproduces the per-group
+/// one on_batch call, and their member lists are concatenated (item
+/// order, members in add order) into a SINGLE sweep — one pre/plan/commit
+/// pipeline pass covers every tied group instead of one fork/join per
+/// group.  This reproduces the per-group
 /// outcome exactly: member order is preserved, the sweep callback re-plans
 /// any member whose speculation an earlier member invalidated, and the
 /// groups' re-arms collapse to the end of the super-batch by the same
@@ -82,21 +82,15 @@ class PeriodicTask {
 /// sweep dispatch cost of the lockstep scale runs goes.
 class BatchTicker final : public EventSink {
  public:
-  /// `sweep(member, now)` is invoked once per member per period.
-  using Sweep = std::function<void(std::uint32_t member, Time now)>;
-  /// Whole-group variant: receives the live member list (add order) of the
-  /// firing group.  Installed by the sharded engine so one sweep can run
-  /// its members through barrier-phased passes (plan in parallel, commit in
-  /// member order); the callee must preserve the per-member semantics of
-  /// `sweep` and must not mutate the list.
+  /// Receives the live member list (add order) of the firing group, or of
+  /// a super-batched run of groups.  The engine runs the members through
+  /// its barrier-phased passes (pre in member order, plan in parallel,
+  /// commit wave); the callee must give the result of visiting the members
+  /// one by one in list order, and must not mutate the list.
   using BatchSweep = std::function<void(const std::vector<std::uint32_t>& members, Time now)>;
 
-  BatchTicker(Simulator& sim, Time period, Sweep sweep);
+  BatchTicker(Simulator& sim, Time period, BatchSweep sweep);
   ~BatchTicker() override;
-
-  /// Routes sweeps through `batch` instead of per-member `sweep` calls
-  /// (nullptr restores the per-member path).
-  void set_batch_sweep(BatchSweep batch) { batch_sweep_ = std::move(batch); }
 
   BatchTicker(const BatchTicker&) = delete;
   BatchTicker& operator=(const BatchTicker&) = delete;
@@ -122,7 +116,7 @@ class BatchTicker final : public EventSink {
   [[nodiscard]] bool group_live(std::size_t group) const;
 
   /// Same-timestamp group runs merged into one concatenated sweep
-  /// (batched-pop dispatch with a BatchSweep installed only).
+  /// (batched-pop dispatch only).
   [[nodiscard]] std::uint64_t superbatch_count() const noexcept { return superbatches_; }
 
   /// Batched pops opt-in: same-time runs only (sweeps schedule re-arms and
@@ -146,9 +140,8 @@ class BatchTicker final : public EventSink {
 
   Simulator& sim_;
   Time period_;
-  Sweep sweep_;
-  BatchSweep batch_sweep_;
-  /// Stable member-list copy handed to batch_sweep_ (reused capacity).
+  BatchSweep sweep_;
+  /// Stable member-list copy handed to sweep_ (reused capacity).
   std::vector<std::uint32_t> batch_scratch_;
   std::vector<Group> groups_;
   std::uint64_t superbatches_ = 0;

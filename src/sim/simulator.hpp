@@ -1,4 +1,5 @@
-// Discrete-event simulation driver: a clock plus the pending-event set.
+// Discrete-event simulation driver: a clock plus the pending-event set
+// (per-shard timing wheels; see sim/event_queue.hpp).
 //
 // Time is allowed to be negative — experiments use the paper's convention
 // where t=0 is the source-switch instant and warm-up runs at t<0.
@@ -29,8 +30,10 @@ class Simulator {
   using ShardRouter = std::function<std::size_t(const EventSink& sink, std::uint64_t a,
                                                 std::uint64_t b)>;
 
-  /// Starts the clock at `start` (may be negative for warm-up phases).
-  explicit Simulator(Time start = 0.0) : now_(start) {}
+  /// Starts the clock at `start` (may be negative for warm-up phases).  The
+  /// pending set's timing wheels are quantized at `quantum` seconds (the
+  /// engine passes its tick cadence tau); any quantum pops the same order.
+  explicit Simulator(Time start = 0.0, double quantum = 1.0) : queue_(quantum), now_(start) {}
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
@@ -41,15 +44,7 @@ class Simulator {
   void enable_shards(std::size_t shards, ShardRouter router);
   [[nodiscard]] std::size_t shard_count() const noexcept { return queue_.shard_count(); }
 
-  /// Swaps the pending set's backing store from per-shard binary heaps to
-  /// hierarchical timing wheels quantized at `quantum` seconds (the engine
-  /// passes the tick cadence tau).  Call before anything is scheduled.
-  /// Pure mechanism: pop order is bit-identical to the heap backend (see
-  /// EventQueue::enable_timing_wheel), so everything downstream — metrics,
-  /// rng draws, event ids — is unchanged; only schedule/pop cost and the
-  /// wheel telemetry differ.  Composes with enable_shards in either order.
-  void enable_timing_wheel(double quantum) { queue_.enable_timing_wheel(quantum); }
-  /// Wheel telemetry aggregated over the shards (zeros while on heaps).
+  /// Wheel telemetry aggregated over the shards.
   [[nodiscard]] EventQueue::WheelTelemetry wheel_telemetry() const noexcept {
     return queue_.wheel_telemetry();
   }

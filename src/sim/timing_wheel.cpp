@@ -8,7 +8,8 @@
 namespace gs::sim {
 
 TimingWheel::TimingWheel(double quantum)
-    : inv_quantum_(1.0 / quantum),
+    : quantum_(quantum),
+      inv_quantum_(1.0 / quantum),
       near_(static_cast<std::size_t>(kNearSlots)),
       coarse_(static_cast<std::size_t>(kCoarseSlots)) {
   GS_CHECK_GT(quantum, 0.0);

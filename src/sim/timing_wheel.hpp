@@ -1,4 +1,4 @@
-// Hierarchical timing wheel: the O(1) backing store for the event queue.
+// Hierarchical timing wheel: the event queue's O(1) backing store.
 //
 // The protocol's event population is clustered in the near future — fixed-
 // cadence tick sweeps one period ahead and segment deliveries a few periods
@@ -19,9 +19,9 @@
 // Determinism rule: a bucket is sorted by the global (time, sequence) key
 // before it drains, and buckets drain in increasing index order.  Bucket
 // indexing is monotone in time, so the resulting pop sequence is exactly the
-// order a single (time, sequence) binary heap would produce — bit-identical,
-// which is what lets EventQueue swap backends under a flag without touching
-// any fixed-seed metric.
+// order a single (time, sequence) binary heap would produce — bit-identical
+// whatever the quantum, which sim_property_test checks against a heap
+// oracle.
 //
 // Late arrivals — an executing event scheduling into the current (already
 // collected) or an earlier bucket — go to a small side heap that the
@@ -55,7 +55,7 @@ using EventId = std::uint64_t;
 class EventSink;
 
 /// One pending event: five words, trivially copyable, so the wheel's
-/// bucket sorts and the heaps' sifts move 40 plain bytes.  Two kinds share
+/// bucket sorts and the side/spill heaps' sifts move 40 plain bytes.  Two kinds share
 /// the struct (and the sequence domain): pooled plain-struct events carry a
 /// sink plus two inline payload words and never allocate; closure events
 /// (sink == nullptr) carry in `a` the index of their action in the owning
@@ -91,6 +91,9 @@ class TimingWheel {
 
   explicit TimingWheel(double quantum = 1.0);
 
+  /// Bucket width in seconds.
+  [[nodiscard]] double quantum() const noexcept { return quantum_; }
+
   void push(QueueEntry entry);
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
@@ -103,7 +106,7 @@ class TimingWheel {
   QueueEntry pop();
 
   /// True if `fn(entry)` holds for any resident entry (cancellation's
-  /// pendingness scan).  O(resident), like the heap backend's linear scan.
+  /// pendingness scan).  O(resident); cancels are rare (churn only).
   template <typename Fn>
   [[nodiscard]] bool any(Fn&& fn) const {
     for (std::size_t i = front_pos_; i < front_.size(); ++i) {
@@ -171,6 +174,7 @@ class TimingWheel {
   /// front head exists and fires before the side head.
   [[nodiscard]] bool front_is_next() const noexcept;
 
+  double quantum_;
   double inv_quantum_;
   /// Cursor anchors lazily at the first push (times may start anywhere,
   /// including negative warm-up).

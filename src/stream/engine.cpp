@@ -17,7 +17,15 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     : graph_(std::move(graph)),
       latency_(std::move(latency)),
       config_(std::move(config)),
-      sim_(-config_.warmup),
+      // Lanes beyond the physical cores only thrash the scheduler (results
+      // are lane-count-independent, so the clamp is free).
+      lanes_(std::min<std::size_t>(config_.parallel_shards,
+                                   std::max(1u, std::thread::hardware_concurrency()))),
+      // Timing-wheel event plane quantized at the tick cadence: gossip
+      // sweeps land on bucket boundaries and deliveries fill the
+      // current-period bucket, so schedule_on is a bucket append and pops
+      // walk pre-sorted buckets.
+      sim_(-config_.warmup, config_.tau),
       overhead_(config_.wire),
       membership_(graph_, config_.membership_degree,
                   util::Rng(config_.seed).fork(util::hash_name("membership")), &overhead_),
@@ -28,12 +36,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       setup_rng_(util::Rng(config_.seed).fork(util::hash_name("setup"))) {
   GS_CHECK(strategy != nullptr);
   strategies_.push_back(std::move(strategy));
-  // Timing-wheel event plane, quantized at the tick cadence: gossip sweeps
-  // land on bucket boundaries and deliveries fill the current-period
-  // bucket, so schedule_on is a bucket append and pops walk pre-sorted
-  // buckets.  Must precede any scheduling; pop order is the binary heap's
-  // (time, sequence) order (sim_property_test checks the two backends).
-  sim_.enable_timing_wheel(config_.tau);
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
     // Every pop scans the shard heads, so queue shards beyond a few dozen
@@ -69,13 +71,14 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
           });
       sim_.enable_batch_pop(true);
     }
-    // One bump arena per plan lane: the sweep's candidate supplier lists
-    // never fall back to the heap (the zero-allocation steady state covers
-    // the parallel lanes).  Arenas reset at wave starts only.
-    lane_arenas_.resize(lanes());
-    for (std::unique_ptr<util::Arena>& arena : lane_arenas_) {
-      arena = std::make_unique<util::Arena>();
-    }
+  }
+  // One bump arena per plan lane (lane 0 is the caller, so at least one):
+  // the sweep's candidate supplier lists never fall back to the heap (the
+  // zero-allocation steady state covers every lane).  Arenas reset at wave
+  // starts only.
+  lane_arenas_.resize(std::max<std::size_t>(1, lanes_));
+  for (std::unique_ptr<util::Arena>& arena : lane_arenas_) {
+    arena = std::make_unique<util::Arena>();
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
@@ -109,13 +112,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
 
 void Engine::set_sources(std::vector<net::NodeId> sources, std::vector<double> switch_times) {
   timeline_.set_sources(graph_.node_count(), std::move(sources), std::move(switch_times));
-}
-
-std::size_t Engine::lanes() const {
-  // Lanes beyond the physical cores only thrash the scheduler (results are
-  // lane-count-independent, so the clamp is free).
-  return std::min<std::size_t>(config_.parallel_shards,
-                               std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
 
 const PeerNode& Engine::peer(net::NodeId v) const {
@@ -180,25 +176,13 @@ void Engine::schedule_switch(int switch_index) {
 
 // ---------------------------------------------------------------- tick ---
 //
-// One tick = pre + plan + commit.  The sequential dispatch paths run the
-// three phases back to back per peer, which is byte-for-byte the historical
-// tick; the sharded sweep (run_parallel_sweep) runs pre for every member in
-// order, plans all members concurrently, then commits in order — with the
-// plan-staleness check bridging the only cross-member data flow a sweep
-// has (capacity commits feeding later members' queue-delay reads).
-
-void Engine::tick(PeerNode& p, double now) {
-  if (!tick_pre(p, now)) return;
-  // Sequential dispatch reuses one plan slot, so the prior tick's supplier
-  // lists are dead and the arena can rewind before this tick's candidate
-  // build fills it.  (Parallel waves reset their lane arenas at wave start
-  // instead — a lane's earlier plans must survive to their commit.)
-  plan_arena_.reset();
-  plan_seq_.arena = &plan_arena_;
-  tick_plan(p, now, plan_seq_);
-  tick_commit(p, now, plan_seq_, /*validate=*/false);
-  if (cdn_) cdn_assist_tick(p, now);
-}
+// One tick = pre + plan + commit.  A sweep (run_sweep) runs its members in
+// waves: pre for every wave member in order, plan for all of them
+// (concurrently on the lanes), then the commit wave in member order — with
+// the plan-staleness check bridging the only cross-member data flow a wave
+// has (capacity commits feeding later members' queue-delay reads).  At
+// parallel_shards = 0 every wave is one member, which is the plain
+// sequential tick.
 
 bool Engine::tick_pre(PeerNode& p, double now) {
   if (!p.alive() || p.is_source()) return false;
@@ -246,10 +230,9 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
     // An empty build is the cheap moment to settle the conservative work
     // summary: if the supplied ∧ ¬received scan finds nothing at or past
     // the anchor, the view quiesces and the gate skips this peer until a
-    // delta wakes it.  View p.id belongs to this member in both dispatch
-    // paths (the plan lanes partition members), so the writes are
-    // race-free, and the decision reads only pre-wave state — identical
-    // at every shard count.
+    // delta wakes it.  View p.id belongs to this member (the plan lanes
+    // partition members), so the writes are race-free, and the decision
+    // reads only pre-wave state — identical at every shard count.
     (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
     return;
   }
@@ -300,10 +283,9 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
     plan.fixup = true;
     return;
   }
-  // Stage mode folds the counters at the wave's final drain, from the
-  // plan's final contents (a fixup re-plan overwrites them first, so the
-  // fold always matches the sequential charge).
-  if (!plan.stage) count_plan(plan);
+  // The counters fold at the wave's final drain, from the plan's final
+  // contents (a fixup re-plan overwrites them first, so the fold always
+  // matches the sequential charge).
   if (plan.candidates.empty()) return;
 
   // Supplier fallback on rejection (the strategy names one supplier per
@@ -347,20 +329,24 @@ void Engine::count_plan(const TickPlan& plan) {
   scheduled_seen_ += plan.requests.size();
 }
 
-void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, double now) {
+void Engine::run_sweep(const std::vector<std::uint32_t>& members, double now) {
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
   if (dirty_supplier_.size() < peers_.size()) dirty_supplier_.resize(peers_.size(), 0);
-  const std::size_t lanes = this->lanes();
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
   // wave, while each wave carries ~16 plans per shard of parallel work, in
-  // [32, 64].  Any wave size yields identical results — valid plans equal
-  // the sequential computation and stale ones are re-planned — but the
-  // replan, colour-class and fixup counters depend on it, so it derives
-  // from parallel_shards alone, never from the machine's core count.
-  const std::size_t wave = std::clamp<std::size_t>(16 * config_.parallel_shards, 32, 64);
+  // [32, 64].  With no lanes there is nothing to overlap: one-member waves
+  // are the sequential tick and never go stale.  Any wave size yields
+  // identical results — valid plans equal the sequential computation and
+  // stale ones are re-planned — but the replan, colour-class and fixup
+  // counters depend on it, so it derives from parallel_shards alone, never
+  // from the machine's core count.
+  const std::size_t wave =
+      config_.parallel_shards == 0
+          ? 1
+          : std::clamp<std::size_t>(16 * config_.parallel_shards, 32, 64);
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
@@ -371,9 +357,9 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     for (const std::unique_ptr<util::Arena>& a : lane_arenas_) a->reset();
     // Pre, in member order: all cross-peer-visible writes of a tick
     // (availability adverts, boundary learning, playback/metric
-    // bookkeeping) happen here with exactly the interleaving the
-    // per-member sweep would produce (nothing a plan reads is written by
-    // pre, so running the wave's pres ahead of its plans is invisible).
+    // bookkeeping) happen here with exactly the interleaving a
+    // member-by-member sweep would produce (nothing a plan reads is written
+    // by pre, so running the wave's pres ahead of its plans is invisible).
     for (std::size_t i = 0; i < count; ++i) {
       batch_plans_[i].live = tick_pre(peers_[members[base + i]], now);
     }
@@ -381,13 +367,13 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     // (each member's own slot and rng).  Each lane bump-allocates supplier
     // lists from its own arena.  The pool may be saturated by outer
     // experiment sweeps — run_batch's caller lane guarantees progress.
-    util::global_pool().run_batch_lanes(
-        count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
+    util::run_batch_lanes(
+        count, lanes_, [this, &members, base, now](std::size_t i, std::size_t lane) {
           if (!batch_plans_[i].live) return;
           batch_plans_[i].arena = lane_arenas_[lane].get();
           tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
-    commit_wave(members, base, count, lanes, now);
+    commit_wave(members, base, count, now);
   }
   // Warm-up fence for the zero-allocation telemetry: lane-arena chunks
   // allocated past the fence count as steady-state allocations.  The fence
@@ -415,7 +401,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
 }
 
 void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
-                         std::size_t count, std::size_t lanes, double now) {
+                         std::size_t count, double now) {
   // Colour by supplier contention.  A slot's contention set is exactly the
   // alive list plan_is_stale reads — it covers every supplier the plan's
   // queue-delay estimates touched and every capacity line its commit can
@@ -437,7 +423,6 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   for (std::size_t i = 0; i < count; ++i) {
     class_slots_[colouring_.colour[i]].push_back(static_cast<std::uint32_t>(i));
     TickPlan& plan = batch_plans_[i];
-    plan.stage = true;
     plan.fixup = false;
     plan.commit_stamp = wave_base + 1 + i;
   }
@@ -448,8 +433,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
     // The class commits on lanes: capacity commits and jitter draws land
     // member-locally (disjoint supplier sets within the class), deliveries
     // stage into the plan, counters defer.
-    util::global_pool().run_batch(slots.size(), lanes, [this, &members, base, &slots,
-                                                       now](std::size_t k) {
+    util::run_batch(slots.size(), lanes_, [this, &members, base, &slots, now](std::size_t k) {
       const std::uint32_t i = slots[k];
       if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
       tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
@@ -481,7 +465,6 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   // sweep-stable state, the member's own slot and the CDN's private ledger.
   for (std::size_t i = 0; i < count; ++i) {
     TickPlan& plan = batch_plans_[i];
-    plan.stage = false;
     if (!plan.live) continue;
     PeerNode& p = peers_[members[base + i]];
     if (plan.planned) {
@@ -583,7 +566,7 @@ void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
   // pending-deferred ones skipped), then walk each neighbour once across
   // all of them, so suppliers append in ascending-neighbour order.  Every
   // probed value (outbound_rate, queue_delay, buffer state) is stable for
-  // the duration of a plan in both dispatch paths, and each neighbour's
+  // the duration of a plan at every shard count, and each neighbour's
   // buffer, rate and queue delay are touched in one contiguous burst
   // instead of once per (segment, neighbour) pair — a per-pair walk is
   // random-access cache misses at 10^5+ peers.
@@ -660,54 +643,41 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
                        TickPlan& plan) {
   GS_CHECK_LT(supplier, peers_.size());
   PeerNode& s = peers_[supplier];
-  if (plan.stage) {
-    // Commit-lane issue: the capacity commit and jitter draw are
-    // member-safe (colouring keeps same-class supplier sets disjoint; the
-    // rng is the member's own); the simulator event and the global
-    // counters defer to the wave's member-order drain.
-    StagedDelivery d;
-    if (!s.alive() || !s.buffer.contains(id) ||
-        !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
-      ++p.requests_rejected;
-      ++plan.rejected;
-      return false;
-    }
-    d.id = id;
-    plan.staged.push_back(d);
-    // Deterministic dirty stamp: wave base + 1 + member index.  Every
-    // staleness comparison is `stamp_written > stamp_read` with the read
-    // stamp at most the wave base, so any strictly-above-base value marks
-    // "committed after this plan was derived" — and this one is the same
-    // no matter which lane writes it.  Per-link capacity never reads these
-    // stamps (plan_is_stale short-circuits); skipping the write keeps
-    // concurrent same-supplier issues race-free.
-    if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
-    ++plan.issued;
-    p.in_budget().spend(1.0);
-    p.pending.set(id, now + config_.pending_timeout);
-    ++p.requests_issued;
-    return true;
-  }
-  if (!s.alive() || !s.buffer.contains(id) || !transfers_.request(p, s, id, now)) {
+  // Commit-lane issue: the capacity commit and jitter draw are member-safe
+  // (colouring keeps same-class supplier sets disjoint; the rng is the
+  // member's own); the simulator event and the global counters defer to
+  // the wave's member-order drain.
+  StagedDelivery d;
+  if (!s.alive() || !s.buffer.contains(id) ||
+      !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
     ++p.requests_rejected;
-    ++stats_.requests_rejected;
+    ++plan.rejected;
     return false;
   }
-  overhead_.charge_request(1);
+  d.id = id;
+  plan.staged.push_back(d);
+  // Deterministic dirty stamp: wave base + 1 + member index.  Every
+  // staleness comparison is `stamp_written > stamp_read` with the read
+  // stamp at most the wave base, so any strictly-above-base value marks
+  // "committed after this plan was derived" — and this one is the same no
+  // matter which lane writes it.  Per-link capacity never reads these
+  // stamps (plan_is_stale short-circuits); skipping the write keeps
+  // concurrent same-supplier issues race-free.
+  if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
+  ++plan.issued;
   p.in_budget().spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
   ++p.requests_issued;
-  ++stats_.requests_issued;
   return true;
 }
 
 // ----------------------------------------------------------- CDN assist ---
 //
-// Runs after tick_commit in both dispatch paths, so patch requests consume
-// only the inbound budget the gossip scheduler left this period: under
-// budget_carry = 1 that remainder is use-it-or-lose-it, so the patch
-// stream fills the idle tail of the peer's inbound link instead of
-// displacing gossip pulls.  Requested ids enter p.pending like any gossip
+// Runs after the member's commit (in the wave's final drain), so patch
+// requests consume only the inbound budget the gossip scheduler left this
+// period: under budget_carry = 1 that remainder is use-it-or-lose-it, so
+// the patch stream fills the idle tail of the peer's inbound link instead
+// of displacing gossip pulls.  Requested ids enter p.pending like any gossip
 // request, so the scheduler never double-requests a patched segment, and
 // deliveries run through deliver_segment — q2 progress, prepared times and
 // playback flow exactly as for swarm data.
@@ -848,7 +818,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   }
   ++stats_.delivery_batches;
   const std::size_t shards = data_shards_;
-  const std::size_t lanes = std::min(shards, this->lanes());
+  const std::size_t lanes = std::min(shards, lanes_);
 
   // Partition into per-shard delivery lists (pop order preserved within a
   // list; every delivery of one peer lands in that peer's shard list, and
@@ -869,7 +839,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // on the supplier counts).  Head recomputation reads other peers'
   // buffers, so it waits for the barrier and runs sequentially against the
   // settled state — which is exactly the head the inline order ends at.
-  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
+  util::run_batch(shards, lanes, [this](std::size_t t) {
     std::vector<net::NodeId>& dirty = dirty_views_[t];
     dirty.clear();
     std::uint64_t applied = 0;
@@ -918,7 +888,7 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
   // journals as kBoundary deltas instead of writing neighbour views.
   for (std::vector<BookEvent>& log : book_events_) log.clear();
   book_phase_ = true;
-  util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s) {
+  util::run_batch(shards, lanes, [this, items](std::size_t s) {
     for (const std::uint32_t idx : shard_entries_[s]) {
       book_current_item_[s] = idx;
       const auto to = static_cast<net::NodeId>(items[idx].a);

@@ -109,20 +109,19 @@ struct EngineConfig {
   /// peers tick in one sim::BatchTicker sweep event per period.
   bool stagger_ticks = true;
   /// Peers per tick shard: peers [s*size, (s+1)*size) share one stagger
-  /// phase and one sweep event; must be >= 1.  Under parallel_shards this
-  /// is also the parallel grain: one sweep's members are planned
+  /// phase and one sweep event; must be >= 1.  Under parallel_shards > 0
+  /// this is also the parallel grain: one sweep's members are planned
   /// concurrently, so larger shards amortise the fork/join cost (scale
   /// runs want 128-512).
   std::size_t tick_shard_size = 16;
-  /// Sharded parallel simulation core.  0 = the classic single-threaded
-  /// path.  P >= 1 splits the pending-event set into per-shard queues
-  /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)) and runs every tick sweep through a three-phase
-  /// pipeline on up to P lanes of util::global_pool():
+  /// Parallel lanes of the tick pipeline (0 = none: everything runs on the
+  /// calling thread).  Every tick sweep runs one pipeline, wave by wave —
+  /// the wave is one member at P = 0 and clamp(16·P, 32, 64) members
+  /// otherwise — on up to P lanes of util::global_pool():
   ///   pre    sequential, member order — every cross-peer-visible write
   ///          (availability adverts, boundary learning, playback/metrics);
   ///   plan   parallel, read-only — candidate build + strategy scheduling
-  ///          (the dominant tick cost), speculated against the pre-sweep
+  ///          (the dominant tick cost), speculated against the pre-wave
   ///          transfer plane; writes only the member's own rng and slot;
   ///   commit the commit wave — members whose plans touch disjoint
   ///          supplier sets commute, so the wave colours a
@@ -134,21 +133,26 @@ struct EngineConfig {
   ///          back) in a sequential fix-up drain after its class, and a
   ///          final member-order drain posts the staged deliveries and
   ///          counters so event sequence numbers match a sequential commit.
-  /// Unless push_fresh_segments is on, consecutive delivery events also pop
-  /// as one batch (Simulator::enable_batch_pop) and drain as a delivery
-  /// wave: a parallel per-target-shard book phase (buffer marks, playback,
-  /// per-peer flags, availability and boundary deltas journalled per lane),
-  /// a sequential tail replaying metric pushes and wire counters in pop
-  /// order, and a parallel per-owner merge of the journalled deltas; tick
-  /// sweeps sharing a timestamp super-batch into one pipeline pass
-  /// (BatchTicker::on_batch).  Push reads neighbour buffers and schedules
-  /// transfers per delivery, which only the inline pop order reproduces.
+  /// A one-member wave is exactly the sequential pre → plan → commit → CDN
+  /// order: there is nothing to overlap, and no plan can go stale.
+  /// P >= 1 also splits the pending-event set into per-shard queues
+  /// (deliveries routed by target peer id, merged deterministically by
+  /// (time, sequence)), and unless push_fresh_segments is on, consecutive
+  /// delivery events pop as one batch (Simulator::enable_batch_pop) and
+  /// drain as a delivery wave: a parallel per-target-shard book phase
+  /// (buffer marks, playback, per-peer flags, availability and boundary
+  /// deltas journalled per lane), a sequential tail replaying metric pushes
+  /// and wire counters in pop order, and a parallel per-owner merge of the
+  /// journalled deltas; tick sweeps sharing a timestamp super-batch into
+  /// one pipeline pass (BatchTicker::on_batch).  Push reads neighbour
+  /// buffers and schedules transfers per delivery, which only the inline
+  /// pop order reproduces.
   /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
   /// count, including 0 (enforced by stream_determinism_test and
-  /// stream_golden_digest_test); only wall-clock and the shard diagnostics
-  /// change — plus, in the batch where the experiment completes, the tail
-  /// counters events_popped and index_updates (the final batch is popped
-  /// whole).  The set-up passes (warm start, availability index build) run
+  /// stream_golden_digest_test); only wall-clock and the pipeline
+  /// diagnostics change — plus, in the batch where the experiment
+  /// completes, the tail counters events_popped and index_updates (the
+  /// final batch is popped whole).  The set-up passes (warm start, availability index build) run
   /// on the same lanes.
   std::size_t parallel_shards = 0;
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
@@ -257,10 +261,11 @@ struct EngineStats {
   /// Full-map / delta adverts sent under delta_maps accounting.
   std::uint64_t full_map_adverts = 0;
   std::uint64_t delta_adverts = 0;
-  /// Sharded-core diagnostics (parallel_shards > 0 only): sweeps run
-  /// through the three-phase pipeline, member ticks planned in the parallel
-  /// phase, and how many of those were re-planned at commit because an
-  /// earlier member's capacity commit invalidated the speculation.
+  /// Tick-pipeline diagnostics: sweeps run through the three-phase
+  /// pipeline, member ticks planned in the plan phase, and how many of
+  /// those were re-planned at commit because an earlier member's capacity
+  /// commit invalidated the speculation (always 0 at parallel_shards = 0,
+  /// whose one-member waves cannot go stale).
   std::uint64_t parallel_sweeps = 0;
   std::uint64_t planned_ticks = 0;
   std::uint64_t replanned_ticks = 0;
@@ -275,19 +280,20 @@ struct EngineStats {
   std::uint64_t delivery_batches = 0;
   std::uint64_t delta_journal_merges = 0;
   std::uint64_t superbatch_sweeps = 0;
-  /// Commit-wave diagnostics (parallel_shards > 0): colour classes executed across all commit waves, members
-  /// committed on parallel lanes, members that went stale mid-class and
-  /// drained through the sequential fixup queue (a subset of
-  /// replanned_ticks), and delivery batches drained through the split
-  /// book pass.  The class and fixup counts depend on the commit-wave size,
-  /// which is a function of parallel_shards alone (see run_parallel_sweep).
+  /// Commit-wave diagnostics: colour classes executed across all commit
+  /// waves, members committed in their class (planned members minus
+  /// fixups), members that went stale mid-class and drained through the
+  /// sequential fixup queue (a subset of replanned_ticks), and delivery
+  /// batches drained through the split book pass (parallel_shards > 0
+  /// without push).  The class and fixup counts depend on the commit-wave
+  /// size, which is a function of parallel_shards alone (see run_sweep).
   std::uint64_t commit_colour_classes = 0;
   std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
   std::uint64_t parallel_books = 0;
-  /// Lane-arena telemetry (parallel_shards > 0): heap chunks the per-lane
-  /// plan arenas ever allocated; the chunk total frozen when the adaptive
-  /// warm-up fence armed (after >= 16 parallel sweeps AND 16 consecutive
+  /// Lane-arena telemetry: heap chunks the per-lane plan arenas ever
+  /// allocated; the chunk total frozen when the adaptive
+  /// warm-up fence armed (after >= 16 sweeps AND 16 consecutive
   /// sweeps with no chunk growth — 0 means the fence never armed, i.e. the
   /// arenas never went quiet); and the chunks allocated after the fence —
   /// the steady-state count the zero-allocation claim is measured by
@@ -333,7 +339,7 @@ struct EngineStats {
   /// (action slots, free list, cancellation set, batch scratch), the
   /// availability views, the transfer plane (uplink FIFOs + capacity
   /// model), the overlay (graph, latency table, membership live set) and
-  /// the plan arenas (sequential and per-lane chunks).  The sharded core's
+  /// the per-lane plan arenas.  The sharded core's
   /// other wave scratch is not in the ledger.  Artifacts for locating
   /// memory, not gates.
   std::uint64_t pool_bytes = 0;
@@ -417,25 +423,21 @@ class Engine {
   void schedule_switch(int switch_index);
   void generate_segment(SessionIndex k, double now);
 
-  /// Pool lanes of the parallel sections: min(parallel_shards, hardware
-  /// threads); 0 when the engine runs sequentially.  Only wall clock may
-  /// depend on it — never a result or a deterministic counter.
-  [[nodiscard]] std::size_t lanes() const;
-
   // --- per-tick pipeline ---
-  /// A delivery issued under the commit wave's stage mode: the capacity
-  /// commit and the jitter draw already happened on the lane; only the
-  /// simulator event is deferred, posted by the final member-order drain so
-  /// event sequence numbers match the sequential commit exactly.
+  /// A delivery issued by the commit wave: the capacity commit and the
+  /// jitter draw already happened on the lane; only the simulator event is
+  /// deferred, posted by the final member-order drain so event sequence
+  /// numbers match a sequential commit exactly.
   struct StagedDelivery {
     SegmentId id = kNoSegment;
     double deliver_at = 0.0;
   };
   /// One tick's speculative plan: the candidate build and the strategy's
-  /// request list, computed in the parallel phase against the pre-sweep
+  /// request list, computed in the plan phase against the pre-wave
   /// transfer plane, plus everything needed to commit (or roll back and
-  /// re-plan) deterministically.  Global counters touched by planning are
-  /// deferred here and drained at commit.
+  /// re-plan) deterministically.  Every global counter and simulator event
+  /// a tick produces is deferred here and folded by the wave's final
+  /// member-order drain.
   struct TickPlan {
     bool live = false;     ///< tick_pre ran (alive non-source member)
     bool planned = false;  ///< the budget allowed a candidate build
@@ -452,11 +454,7 @@ class Engine {
     std::vector<CandidateSegment> candidates;
     std::vector<ScheduledRequest> requests;
     std::uint64_t probes = 0;  ///< deferred EngineStats::availability_probes
-    // --- commit-wave state (parallel_shards > 0 only) ---
-    /// Stage mode (every sharded commit): deliveries are staged into
-    /// `staged` and every global counter/event side effect is deferred to
-    /// the wave's final drain.
-    bool stage = false;
+    // --- commit-wave state ---
     /// Set by a staged stale commit; the per-class fixup drain re-plans and
     /// re-commits this member sequentially after the class barrier.
     bool fixup = false;
@@ -475,7 +473,6 @@ class Engine {
     util::Arena* arena = nullptr;
   };
 
-  void tick(PeerNode& p, double now);
   /// Phase 1: budget replenish, availability exchange, pending prune,
   /// playback — every tick effect another peer (or the timeline) can
   /// observe.  False when the peer does not tick (source / dead).
@@ -484,10 +481,11 @@ class Engine {
   /// shared state, writes only `plan` and p.rng — safe to run concurrently
   /// for distinct peers while nothing mutates.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
-  /// Phase 3: drains the plan in deterministic order — counters, request
-  /// issue with rejection fallback, capacity commits.  With `validate` (a
-  /// commit lane), a plan whose supplier set was dirtied earlier in the
-  /// wave issues nothing and is flagged for the fixup drain instead.
+  /// Phase 3: drains the plan in deterministic order — request issue with
+  /// rejection fallback, capacity commits, deliveries staged into the
+  /// plan.  With `validate` (a commit lane), a plan whose supplier set was
+  /// dirtied earlier in the wave issues nothing and is flagged for the
+  /// fixup drain instead.
   void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
   /// Folds a committed plan into the global counters (probes, gate and
   /// build counts, split requests, the debug series' tallies).
@@ -497,9 +495,10 @@ class Engine {
   /// the plan's stamp counts (only supplier-keyed capacity models can
   /// conflict — per-link state is requester-local).
   [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
-  /// The sharded sweep driver: pre in member order, plan on the pool,
-  /// then the commit wave (see EngineConfig::parallel_shards).
-  void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
+  /// The sweep driver (BatchTicker's callback), wave by wave: pre in
+  /// member order, plan on the lanes, then the commit wave (see
+  /// EngineConfig::parallel_shards).
+  void run_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
   /// peer's maintained availability view.
   void snapshot_and_learn(PeerNode& p);
@@ -511,10 +510,9 @@ class Engine {
   /// the full candidate build for a gated-out peer on scratch state and
   /// GS_CHECKs that it really had nothing schedulable.
   void recheck_gate(PeerNode& p, double now);
-  /// Issues one scheduled request.  Inline mode (plan.stage false) posts the
-  /// delivery event and bumps the global counters directly; stage mode
-  /// stages the delivery into the plan, stamps dirty_supplier_ with
-  /// plan.commit_stamp and defers the counters (see TickPlan).
+  /// Issues one scheduled request: commits supplier capacity, stages the
+  /// delivery into the plan, stamps dirty_supplier_ with plan.commit_stamp
+  /// and defers the global counters (see TickPlan).
   bool issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now, TickPlan& plan);
   /// The commit wave: colours wave members [base, base + count) of the
   /// sweep by supplier contention, runs each colour class's tick_commit on
@@ -522,7 +520,7 @@ class Engine {
   /// deliveries, deferred counters and CDN ticks in member order (see
   /// EngineConfig::parallel_shards).
   void commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
-                   std::size_t count, std::size_t lanes, double now);
+                   std::size_t count, double now);
 
   // --- CDN assist (config_.cdn_assist) ---
   /// Runs after tick_commit: computes the controller's view of `p` (switch
@@ -625,6 +623,11 @@ class Engine {
   net::Graph graph_;
   net::LatencyModel latency_;
   EngineConfig config_;
+  /// Pool lanes of the parallel sections: min(parallel_shards, hardware
+  /// threads), fixed at construction; 0 at parallel_shards = 0 (everything
+  /// runs inline).  Only wall clock may depend on it — never a result or a
+  /// deterministic counter.
+  const std::size_t lanes_;
   /// Scheduler-strategy registry: peers carry a one-byte index into this
   /// table (see PeerNode::strategy_index) instead of a shared_ptr each.
   /// Entry 0 is the injected strategy; heterogeneous policies are an
@@ -649,25 +652,17 @@ class Engine {
   /// its slot here (see peer_pool.hpp).
   PeerPool pool_;
 
-  /// Sequential tick scratch (parallel_shards == 0).
-  TickPlan plan_seq_;
-  /// Per-tick bump arena behind the sequential plan's supplier lists (the
-  /// parallel plan lanes have their own, see lane_arenas_).  Reset at the
-  /// top of every sequential plan — prior plans are dead by then.
-  util::Arena plan_arena_;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
-  /// Per-member slots for the sharded sweep pipeline (parallel_shards > 0);
-  /// sized to the largest sweep seen and reused.
+  /// Per-member slots of the sweep pipeline; sized to the largest wave
+  /// seen and reused.
   std::vector<TickPlan> batch_plans_;
   /// dirty_supplier_[v] = commit stamp of the wave member that last
   /// committed capacity on v's uplink (the plan-staleness test compares it
-  /// against the plan's stamp).  Sized only in parallel mode; empty
-  /// otherwise.
+  /// against the plan's stamp).  Grown to the peer count by every sweep.
   std::vector<std::uint64_t> dirty_supplier_;
-  /// Commit clock: advanced past every stamp a wave hands out (parallel
-  /// mode only).
+  /// Commit clock: advanced past every stamp a wave hands out.
   std::uint64_t capacity_commits_ = 0;
 
   /// Delivery-wave state (sized only when the wave is active).
@@ -684,12 +679,12 @@ class Engine {
   std::vector<std::uint64_t> lane_merges_;
   std::vector<MarkOutcome> batch_outcomes_;
 
-  // --- commit wave + book phase state (parallel_shards > 0) ---
-  /// One bump arena per pool lane for the plan wave's candidate lists
-  /// (parallel_shards > 0; replaces the parallel lanes' heap fallback).
-  /// All lanes reset on the caller thread at wave start — never mid-wave,
-  /// since a lane's earlier plans must survive to their commit.  Arena is
-  /// pinned (non-movable), hence the unique_ptr pool.
+  // --- commit wave + book phase state ---
+  /// One bump arena per plan lane (at least one: lane 0 is the caller) for
+  /// the wave's candidate lists.  All lanes reset on the caller thread at
+  /// wave start — never mid-wave, since a lane's earlier plans must survive
+  /// to their commit.  Arena is pinned (non-movable), hence the unique_ptr
+  /// pool.
   std::vector<std::unique_ptr<util::Arena>> lane_arenas_;
   /// Layered supplier-contention colouring scratch, reused across waves.
   CommitColouring colouring_;
@@ -709,10 +704,10 @@ class Engine {
   bool book_phase_ = false;
   /// Total lane-arena chunk allocations at the end of the warm-up window;
   /// EngineStats::arena_steady_chunks measures growth past this point.
-  /// The fence is adaptive: it arms after at least 16 parallel sweeps AND
-  /// 16 consecutive sweeps without chunk growth, and re-arms whenever
-  /// growth resumes, so ramp-phase growth at any N stays inside the
-  /// warm-up count (see run_parallel_sweep).
+  /// The fence is adaptive: it arms after at least 16 sweeps AND 16
+  /// consecutive sweeps without chunk growth, and re-arms whenever growth
+  /// resumes, so ramp-phase growth at any N stays inside the warm-up count
+  /// (see run_sweep).
   std::uint64_t arena_warm_chunks_ = 0;
   bool arena_warm_marked_ = false;
   /// Adaptive-fence scratch: last observed chunk total and the count of

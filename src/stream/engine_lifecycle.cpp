@@ -64,14 +64,7 @@ void Engine::start_peer_tick(PeerNode& p, bool initial) {
   if (!ticker_) {
     ticker_ = std::make_unique<sim::BatchTicker>(
         sim_, config_.tau,
-        [this](std::uint32_t member, double now) { tick(peers_[member], now); });
-    if (config_.parallel_shards > 0) {
-      // The sharded core takes whole sweeps: pre in member order, plan on
-      // the pool, commit in member order (same per-member semantics).
-      ticker_->set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
-        run_parallel_sweep(members, now);
-      });
-    }
+        [this](const std::vector<std::uint32_t>& members, double now) { run_sweep(members, now); });
   }
   if (initial) {
     // Initial peers of a shard share the same start time; the shard's
@@ -252,7 +245,7 @@ void Engine::warm_start_state() {
     p.start_run() = static_cast<std::uint32_t>(cursor) + 1;
     p.playback.start(cursor, t0);
   };
-  util::run_chunks(peers_.size(), lanes(), [&](std::size_t begin, std::size_t end) {
+  util::run_chunks(peers_.size(), lanes_, [&](std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) seed_peer(peers_[v]);
   });
 }
@@ -312,7 +305,7 @@ std::vector<SwitchMetrics> Engine::run() {
   // slides reconstruct less.  The plan gate rides the maintained views for
   // free: each view's missing ∧ supplied word count is mirrored into the
   // pool's has_work lane, and tick_plan skips quiescent members.
-  availability_.build(graph_, peers_, pool_, config_.buffer_capacity + 192, lanes());
+  availability_.build(graph_, peers_, pool_, config_.buffer_capacity + 192, lanes_);
   start_session(0);
   for (std::size_t i = 0; i < timeline_.switch_count(); ++i) {
     schedule_switch(static_cast<int>(i));
@@ -366,7 +359,6 @@ std::vector<SwitchMetrics> Engine::run() {
   // the lanes went quiet (runs too short to arm the fence report 0 in
   // arena_warm_chunks, which the tightened test rejects).
   std::uint64_t arena_chunks = 0;
-  stats_.arena_bytes = plan_arena_.capacity_bytes();
   for (const std::unique_ptr<util::Arena>& a : lane_arenas_) {
     arena_chunks += a->chunk_allocations();
     stats_.arena_bytes += a->capacity_bytes();
@@ -375,7 +367,7 @@ std::vector<SwitchMetrics> Engine::run() {
   stats_.arena_warm_chunks = arena_warm_marked_ ? arena_warm_chunks_ : 0;
   stats_.arena_steady_chunks = arena_warm_marked_ ? arena_chunks - arena_warm_chunks_ : 0;
 
-  // Timing-wheel telemetry (zeros on the heap backend).
+  // Timing-wheel telemetry.
   const sim::EventQueue::WheelTelemetry wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;
   stats_.wheel_overflow_promotions = wheel.overflow_promotions;

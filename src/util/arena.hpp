@@ -1,16 +1,16 @@
 // Bump/arena allocation for per-tick transients.
 //
-// The sequential tick pipeline allocates short-lived supplier lists and
-// gossip scratch every period and frees them all before the next one.  An
+// The tick pipeline allocates short-lived supplier lists and gossip
+// scratch every period and frees them all before the next one.  An
 // Arena turns that churn into pointer bumps: allocate() carves from chunked
 // slabs, deallocation is a no-op, and reset() rewinds to empty while keeping
 // the slabs for reuse — steady-state ticks allocate nothing from the heap.
 //
 // ArenaAllocator<T> adapts an Arena to the std allocator interface so
 // standard containers (e.g. the candidate supplier lists) can live in it.
-// A null arena falls back to operator new/delete, which is what the
-// parallel plan lanes use: the arena is single-threaded by design, so it is
-// only installed on the sequential path.
+// A null arena falls back to operator new/delete (scratch builds outside
+// the plan lanes use it).  An arena is single-threaded by design, so each
+// plan lane owns one.
 //
 // Lifetime rule: memory from an arena is valid until the next reset().
 // Containers may outlive a reset only if they are cleared first (clearing
@@ -92,8 +92,8 @@ class ArenaAllocator {
     // Arena memory is reclaimed wholesale by reset().
   }
 
-  /// Copies keep the arena: a container copied on the sequential path stays
-  /// in the same tick-scoped lifetime as its source.
+  /// Copies keep the arena: a container copied on a plan lane stays in the
+  /// same tick-scoped lifetime as its source.
   [[nodiscard]] ArenaAllocator select_on_container_copy_construction() const noexcept {
     return *this;
   }

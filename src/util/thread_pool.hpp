@@ -92,6 +92,29 @@ class ThreadPool {
 /// Process-wide pool shared by benches; constructed on first use.
 ThreadPool& global_pool();
 
+/// global_pool().run_batch(n, lanes, body), except that with lanes <= 1 or
+/// n <= 1 the loop runs inline on the caller: the pool is never touched
+/// (nor constructed) and `body` is never wrapped in a std::function, so a
+/// sequential caller pays neither threads nor an allocation.
+template <typename Body>
+void run_batch(std::size_t n, std::size_t lanes, Body&& body) {
+  if (lanes <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  global_pool().run_batch(n, lanes, body);
+}
+
+/// The run_batch_lanes counterpart of run_batch above (inline: lane 0).
+template <typename Body>
+void run_batch_lanes(std::size_t n, std::size_t lanes, Body&& body) {
+  if (lanes <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i, std::size_t{0});
+    return;
+  }
+  global_pool().run_batch_lanes(n, lanes, body);
+}
+
 /// Splits [0, n) into `lanes` contiguous chunks and runs body(begin, end)
 /// for each on global_pool().run_batch, the calling thread included.  With
 /// lanes <= 1 it is one inline call body(0, n) that never touches the

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "net/graph.hpp"
 #include "net/latency.hpp"
@@ -201,12 +202,46 @@ TEST(Trace, RoundTripSerialization) {
 }
 
 TEST(Trace, ParseRejectsMalformed) {
-  std::stringstream bad1("node 0 1.2.3.4 6346 10.0 56\nedge 0 5\n");
-  EXPECT_THROW((void)parse_trace(bad1), std::runtime_error);
-  std::stringstream bad2("frob 1 2\n");
-  EXPECT_THROW((void)parse_trace(bad2), std::runtime_error);
-  std::stringstream bad3("node 3 1.2.3.4 6346 10.0 56\n");
-  EXPECT_THROW((void)parse_trace(bad3), std::runtime_error) << "ids must be dense";
+  // Bad input must come back as a std::runtime_error naming the offending
+  // line — never an abort further down (a negative ping would reach the
+  // simulator as a negative link delay).
+  struct Case {
+    const char* name;
+    const char* text;
+    const char* message;
+  };
+  const std::string header = "trace bad\nnode 0 1.2.3.4 6346 10.0 56\n";
+  const Case cases[] = {
+      {"negative ping", "node 1 1.2.3.5 6346 -4000 768\n", "line 3: ping_ms must be"},
+      {"negative speed", "node 1 1.2.3.5 6346 40.0 -768\n", "line 3: speed_kbps must be"},
+      {"overflowing ping", "node 1 1.2.3.5 6346 1e999 768\n", "line 3: bad node record"},
+      {"truncated node", "node 1 1.2.3.5 6346\n", "line 3: bad node record"},
+      {"non-numeric field", "node 1 1.2.3.5 6346 fast 768\n", "line 3: bad node record"},
+      {"trailing field", "node 1 1.2.3.5 6346 40.0 768kbps\n", "line 3: unexpected trailing"},
+      {"non-dense id", "node 2 1.2.3.5 6346 40.0 768\n", "line 3: node ids must be dense"},
+      {"duplicate id", "node 0 1.2.3.5 6346 40.0 768\n", "line 3: node ids must be dense"},
+      {"out-of-range edge", "edge 0 1\n", "line 3: edge endpoint out of range"},
+      {"truncated edge", "edge 0\n", "line 3: bad edge record"},
+      {"unknown record kind", "frob 1 2\n", "line 3: unknown record kind 'frob'"},
+  };
+  for (const Case& c : cases) {
+    std::stringstream in(header + c.text);
+    try {
+      (void)parse_trace(in);
+      ADD_FAILURE() << c.name << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.message), std::string::npos)
+          << c.name << ": " << error.what();
+    }
+  }
+  try {
+    (void)parse_trace_file("no_such_dir/missing.trace");
+    ADD_FAILURE() << "missing file: accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("cannot open trace file: no_such_dir/missing.trace"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Trace, FamilySpansSizes) {

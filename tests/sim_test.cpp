@@ -95,49 +95,43 @@ TEST(EventQueue, EventsMayScheduleEvents) {
 TEST(EventQueue, ClosureCapturesAreReleasedWhenTheEventLeaves) {
   // Closures live in the queue's slab, not in the entries: a capture must
   // still be released once its event is popped, dropped as cancelled, or
-  // cleared.  Both backends.
-  for (const bool wheel : {false, true}) {
-    EventQueue q;
-    if (wheel) q.enable_timing_wheel(1.0);
-    const auto token = std::make_shared<int>(0);
-    q.schedule(1.0, [token] { ++*token; });
-    EXPECT_EQ(token.use_count(), 2);
-    q.pop_and_run();
-    EXPECT_EQ(*token, 1);
-    EXPECT_EQ(token.use_count(), 1) << "released after its pop";
+  // cleared.
+  EventQueue q;
+  const auto token = std::make_shared<int>(0);
+  q.schedule(1.0, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  q.pop_and_run();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1) << "released after its pop";
 
-    const EventId id = q.schedule(2.0, [token] { ++*token; });
-    q.schedule(3.0, [] {});
-    EXPECT_TRUE(q.cancel(id));
-    q.pop_and_run();  // drops the cancelled head, runs the t = 3 event
-    EXPECT_EQ(*token, 1);
-    EXPECT_EQ(token.use_count(), 1) << "released when the cancelled entry is skipped";
+  const EventId id = q.schedule(2.0, [token] { ++*token; });
+  q.schedule(3.0, [] {});
+  EXPECT_TRUE(q.cancel(id));
+  q.pop_and_run();  // drops the cancelled head, runs the t = 3 event
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1) << "released when the cancelled entry is skipped";
 
-    q.schedule(4.0, [token] {});
-    q.schedule(5.0, [token] {});
-    EXPECT_EQ(token.use_count(), 3);
-    q.clear();
-    EXPECT_EQ(token.use_count(), 1) << "released by clear()";
-  }
+  q.schedule(4.0, [token] {});
+  q.schedule(5.0, [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  q.clear();
+  EXPECT_EQ(token.use_count(), 1) << "released by clear()";
 }
 
 TEST(EventQueue, ClosureMayScheduleClosuresFromItsOwnAction) {
   // The running action has already left its slab slot, so the closures it
   // schedules may reuse that slot; all of them still run, in order.
-  for (const bool wheel : {false, true}) {
-    EventQueue q;
-    if (wheel) q.enable_timing_wheel(1.0);
-    std::vector<int> order;
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(1.0, [&] {
+    order.push_back(1);
     q.schedule(1.0, [&] {
-      order.push_back(1);
-      q.schedule(1.0, [&] {
-        order.push_back(2);
-        q.schedule(2.0, [&] { order.push_back(3); });
-      });
+      order.push_back(2);
+      q.schedule(2.0, [&] { order.push_back(3); });
     });
-    while (!q.empty()) q.pop_and_run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  }
+  });
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(TimingWheel, RetainedBytesFollowLiveEntriesNotSlotHighWater) {

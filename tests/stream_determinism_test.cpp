@@ -319,9 +319,16 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
   setup.tick_shard = 64;
   const RunOutput sequential = run_setup(setup);
   const RunOutput sharded = run_sharded(setup, 4);
-  EXPECT_EQ(sequential.stats.parallel_sweeps, 0u);
-  EXPECT_EQ(sequential.stats.planned_ticks, 0u);
+  // 0 shards runs the same pipeline in one-member waves: every planned
+  // tick commits in its class, none can go stale, and nothing crosses a
+  // queue shard.
+  EXPECT_GT(sequential.stats.parallel_sweeps, 0u);
+  EXPECT_GT(sequential.stats.planned_ticks, 0u);
+  EXPECT_EQ(sequential.stats.replanned_ticks, 0u);
+  EXPECT_EQ(sequential.stats.commit_conflict_fixups, 0u);
+  EXPECT_EQ(sequential.stats.planned_ticks, sequential.stats.parallel_commits);
   EXPECT_EQ(sequential.stats.cross_shard_events, 0u);
+  EXPECT_EQ(sequential.stats.parallel_books, 0u);
   EXPECT_GT(sharded.stats.parallel_sweeps, 0u);
   EXPECT_GT(sharded.stats.planned_ticks, 0u);
   EXPECT_GE(sharded.stats.planned_ticks, sharded.stats.replanned_ticks);
@@ -473,8 +480,12 @@ TEST(ParallelCommit, CommitDiagnosticsReportWork) {
   setup.seed = 31;
   const RunOutput sequential = run_setup(setup);
   const RunOutput waved = run_sharded(setup, 4);
-  EXPECT_EQ(sequential.stats.parallel_commits, 0u);
-  EXPECT_EQ(sequential.stats.commit_colour_classes, 0u);
+  // One-member waves: one colour class each, no fixups, no delivery wave.
+  EXPECT_EQ(sequential.stats.replanned_ticks, 0u);
+  EXPECT_EQ(sequential.stats.commit_conflict_fixups, 0u);
+  EXPECT_EQ(sequential.stats.planned_ticks, sequential.stats.parallel_commits);
+  EXPECT_GE(sequential.stats.commit_colour_classes, sequential.stats.parallel_commits);
+  EXPECT_EQ(sequential.stats.cross_shard_events, 0u);
   EXPECT_EQ(sequential.stats.parallel_books, 0u);
   EXPECT_GT(waved.stats.parallel_commits, 0u);
   EXPECT_GT(waved.stats.commit_colour_classes, 0u);
