@@ -152,8 +152,8 @@ struct EngineConfig {
   /// stream_golden_digest_test); only wall-clock and the pipeline
   /// diagnostics change — plus, in the batch where the experiment
   /// completes, the tail counters events_popped and index_updates (the
-  /// final batch is popped whole).  The set-up passes (warm start, availability index build) run
-  /// on the same lanes.
+  /// final batch is popped whole).  The set-up passes (warm start,
+  /// availability index build) run on the same lanes.
   std::size_t parallel_shards = 0;
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
@@ -292,11 +292,11 @@ struct EngineStats {
   std::uint64_t parallel_commits = 0;
   std::uint64_t parallel_books = 0;
   /// Lane-arena telemetry: heap chunks the per-lane plan arenas ever
-  /// allocated; the chunk total frozen when the adaptive
-  /// warm-up fence armed (after >= 16 sweeps AND 16 consecutive
-  /// sweeps with no chunk growth — 0 means the fence never armed, i.e. the
-  /// arenas never went quiet); and the chunks allocated after the fence —
-  /// the steady-state count the zero-allocation claim is measured by
+  /// allocated; the chunk total frozen when the adaptive warm-up fence
+  /// armed (after >= 16 sweeps AND 16 consecutive sweeps with no chunk
+  /// growth — 0 means the fence never armed, i.e. the arenas never went
+  /// quiet); and the chunks allocated after the fence — the steady-state
+  /// count the zero-allocation claim is measured by
   /// (exactly 0 once armed; counter-verified in stream_determinism_test).
   std::uint64_t arena_chunks = 0;
   std::uint64_t arena_warm_chunks = 0;
@@ -339,9 +339,8 @@ struct EngineStats {
   /// (action slots, free list, cancellation set, batch scratch), the
   /// availability views, the transfer plane (uplink FIFOs + capacity
   /// model), the overlay (graph, latency table, membership live set) and
-  /// the per-lane plan arenas.  The sharded core's
-  /// other wave scratch is not in the ledger.  Artifacts for locating
-  /// memory, not gates.
+  /// the per-lane plan arenas.  The pipeline's other wave scratch is not
+  /// in the ledger.  Artifacts for locating memory, not gates.
   std::uint64_t pool_bytes = 0;
   std::uint64_t wheel_bytes = 0;
   std::uint64_t closure_slab_bytes = 0;
