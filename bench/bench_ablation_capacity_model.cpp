@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   gs::benchtool::BenchOptions options;
   if (const auto status = gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return *status;
 
+  int status = 0;
   for (const auto model : {gs::stream::SupplierCapacityModel::kSharedFifo,
                            gs::stream::SupplierCapacityModel::kPerLink,
                            gs::stream::SupplierCapacityModel::kTokenBucket}) {
@@ -20,12 +21,14 @@ int main(int argc, char** argv) {
     options.apply_engine(base);
     base.engine.supplier_capacity = model;  // after apply_engine: the ablation owns this axis
     const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
-    gs::exp::print_switch_reduction(
-        std::string("A6: supplier capacity = ") + std::string(gs::stream::to_string(model)),
-        points);
+    const std::string title =
+        std::string("A6: supplier capacity = ") + std::string(gs::stream::to_string(model));
+    gs::exp::print_switch_reduction(title, points);
+    gs::exp::print_completion(title + ": completion (prepared / tracked)", points);
+    if (gs::exp::report_unprepared("bench_ablation_capacity_model", points) != 0) status = 1;
   }
   std::printf("\nexpect the reduction ratio to collapse under per-link capacity (without\n"
               "uplink contention the S1-first order costs the normal algorithm little)\n"
               "but to survive token-bucket uplinks, whose bursts relax spacing, not rate.\n");
-  return 0;
+  return status;
 }

@@ -74,7 +74,7 @@ inline std::optional<int> parse_bench_flags(
                     "charge availability gossip as buffer-map deltas "
                     "(lowers the overhead metric)");
   flags.define_int("parallel-shards", 0,
-                   "sharded parallel core: plan lanes / event-queue shards "
+                   "sharded parallel core: plan, commit and delivery lanes "
                    "(identical metrics at any count; 0 = sequential)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_times_table(
       "Fig. 10: avg finishing time of S1 and preparing time of S2 (dynamic)", points);
+  gs::exp::print_completion("Fig. 10: completion (prepared / tracked)", points);
   if (!options.csv.empty()) gs::exp::write_comparison_csv(options.csv, points);
-  return 0;
+  return gs::exp::report_unprepared("bench_fig10_times_dynamic", points);
 }

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_switch_reduction(
       "Fig. 11: avg switch time and reduction ratio (dynamic environments)", points);
+  gs::exp::print_completion("Fig. 11: completion (prepared / tracked)", points);
   if (!options.csv.empty()) gs::exp::write_comparison_csv(options.csv, points);
-  return 0;
+  return gs::exp::report_unprepared("bench_fig11_switch_reduction_dynamic", points);
 }

@@ -11,6 +11,7 @@ int main(int argc, char** argv) {
   options.apply_engine(base);
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_overhead("Fig. 12: communication overhead (dynamic environments)", points);
+  gs::exp::print_completion("Fig. 12: completion (prepared / tracked)", points);
   if (!options.csv.empty()) gs::exp::write_comparison_csv(options.csv, points);
-  return 0;
+  return gs::exp::report_unprepared("bench_fig12_overhead_dynamic", points);
 }

@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_switch_reduction(
       "Fig. 7: avg switch time and reduction ratio (static environments)", points);
+  gs::exp::print_completion("Fig. 7: completion (prepared / tracked)", points);
   if (!options.csv.empty()) gs::exp::write_comparison_csv(options.csv, points);
-  return 0;
+  return gs::exp::report_unprepared("bench_fig7_switch_reduction_static", points);
 }

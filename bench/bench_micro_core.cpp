@@ -236,7 +236,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
   std::uint64_t delivered = 0;
   std::uint64_t sweeps = 0;
   std::uint64_t replanned = 0;
-  std::uint64_t cross_shard = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -252,7 +251,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     delivered += engine->stats().segments_delivered;
     sweeps += engine->stats().parallel_sweeps;
     replanned += engine->stats().replanned_ticks;
-    cross_shard += engine->stats().cross_shard_events;
     ++runs;
   }
   state.counters["delivered"] =
@@ -261,8 +259,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(sweeps) / static_cast<double>(runs));
   state.counters["replanned_ticks"] =
       benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
-  state.counters["cross_shard_events"] =
-      benchmark::Counter(static_cast<double>(cross_shard) / static_cast<double>(runs));
 }
 BENCHMARK(BM_ShardedDispatch)
     ->ArgNames({"peers", "shards"})

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   flags.define_int("map-refresh", 10, "adverts between full-map refreshes under --delta-maps");
   flags.define_int("tick-shard", 16, "peers per tick shard (stagger phase and sweep group)");
   flags.define_int("parallel-shards", 0,
-                   "sharded parallel core: plan lanes / event-queue shards "
+                   "sharded parallel core: plan, commit and delivery lanes "
                    "(identical metrics at any count; 0 = sequential)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
@@ -183,10 +183,10 @@ int main(int argc, char** argv) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
     // The per-plane memory ledger (KiB retained at the end of the run; the
     // pool is part of peer state) sits between bytes/peer and rss_mb.
-    std::printf("%8s %12s %12s %12s %9s %9s %10s %11s %11s %9s %9s %11s %10s %12s %11s %10s "
+    std::printf("%8s %12s %12s %12s %9s %9s %10s %11s %11s %9s %9s %10s %12s %11s %10s "
                 "%8s %10s %9s %9s %8s %8s %11s %10s %9s %9s %8s %9s %8s %10s %9s %9s\n",
                 "peers", "events", "wheeled", "probes", "promo", "spill_pk", "idx_upd",
-                "plans_gated", "plans_built", "sweeps", "replan", "cross_shard", "dlv_batch",
+                "plans_gated", "plans_built", "sweeps", "replan", "dlv_batch",
                 "journal_mrg", "superbatch", "colour_cls", "fixups", "par_commit", "par_book",
                 "flash", "cdn_mb", "assisted", "bytes/peer", "peer_kb", "pool_kb", "wheel_kb",
                 "slab_kb", "avail_kb", "xfer_kb", "overlay_kb", "arena_kb", "rss_mb");
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
         std::snprintf(rss_mb, sizeof(rss_mb), "n/a");
       }
       std::printf(
-          "%8zu %12llu %12llu %12llu %9llu %9llu %10llu %11llu %11llu %9llu %9llu %11llu "
+          "%8zu %12llu %12llu %12llu %9llu %9llu %10llu %11llu %11llu %9llu %9llu "
           "%10llu %12llu %11llu %10llu %8llu %10llu %9llu %9zu %8.1f %8zu %11s %10.0f %9.0f "
           "%9.0f %8.0f %9.0f %8.0f %10.0f %9.0f %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
@@ -226,7 +226,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.plans_built),
           static_cast<unsigned long long>(s.parallel_sweeps),
           static_cast<unsigned long long>(s.replanned_ticks),
-          static_cast<unsigned long long>(s.cross_shard_events),
           static_cast<unsigned long long>(s.delivery_batches),
           static_cast<unsigned long long>(s.delta_journal_merges),
           static_cast<unsigned long long>(s.superbatch_sweeps),
@@ -244,15 +243,5 @@ int main(int argc, char** argv) {
     gs::exp::write_comparison_csv(flags.get("csv"), points);
     std::printf("\nwrote %s\n", flags.get("csv").c_str());
   }
-  int status = 0;
-  for (const gs::exp::ComparisonPoint& p : points) {
-    if (p.switched()) continue;
-    std::fprintf(stderr,
-                 "sweep_cli: no tracked peer prepared S2 at %zu nodes (normal %zu/%zu, fast "
-                 "%zu/%zu); its switch time and reduction are n/a\n",
-                 p.node_count, p.normal_prepared, p.normal_tracked, p.fast_prepared,
-                 p.fast_tracked);
-    status = 1;
-  }
-  return status;
+  return gs::exp::report_unprepared("sweep_cli", points);
 }

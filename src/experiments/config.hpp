@@ -62,8 +62,8 @@ struct Config {
   /// overhead-ratio metric by design.
   void enable_delta_maps(bool on = true) { engine.delta_maps = on; }
 
-  /// Turns on the sharded parallel simulation core with `shards` plan
-  /// lanes / event-queue shards (`--parallel-shards`; 0 = sequential).
+  /// Turns on the sharded parallel simulation core with `shards` plan,
+  /// commit and delivery lanes (`--parallel-shards`; 0 = sequential).
   /// Pure mechanism: fixed-seed metrics are bit-identical at every shard
   /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }

@@ -123,6 +123,20 @@ void print_completion(const std::string& title, const std::vector<ComparisonPoin
   }
 }
 
+int report_unprepared(const std::string& program, const std::vector<ComparisonPoint>& points) {
+  int status = 0;
+  for (const auto& p : points) {
+    if (p.switched()) continue;
+    std::fprintf(stderr,
+                 "%s: no tracked peer prepared S2 at %zu nodes (normal %zu/%zu, fast %zu/%zu); "
+                 "its switch time and reduction are n/a\n",
+                 program.c_str(), p.node_count, p.normal_prepared, p.normal_tracked,
+                 p.fast_prepared, p.fast_tracked);
+    status = 1;
+  }
+  return status;
+}
+
 void print_overhead(const std::string& title, const std::vector<ComparisonPoint>& points) {
   print_header(title);
   std::printf("%8s  %18s  %18s\n", "nodes", "overhead(fast)", "overhead(normal)");

@@ -27,6 +27,12 @@ void print_switch_reduction(const std::string& title, const std::vector<Comparis
 /// trials) and that fraction; "n/a" when nothing was tracked.
 void print_completion(const std::string& title, const std::vector<ComparisonPoint>& points);
 
+/// A sweep's exit status: 0 when at least one tracked peer prepared S2 on
+/// both sides at every size, else 1 — after printing, for each size where
+/// a side prepared nobody, "<program>: no tracked peer prepared S2 at N
+/// nodes (...)" with both sides' prepared/tracked counts to stderr.
+int report_unprepared(const std::string& program, const std::vector<ComparisonPoint>& points);
+
 /// Fig. 8 / Fig. 12: communication overhead per algorithm.
 void print_overhead(const std::string& title, const std::vector<ComparisonPoint>& points);
 

@@ -4,23 +4,14 @@
 // same-time events fire in insertion order, which keeps runs bit-for-bit
 // reproducible regardless of the backing store's internals.
 //
-// The store is a hierarchical timing wheel per shard (sim/timing_wheel.hpp)
+// The store is one hierarchical timing wheel (sim/timing_wheel.hpp)
 // quantized at a constructor-given quantum (the engine passes its tick
 // cadence): amortized O(1) schedule and O(bucket) pops.  Each bucket drains
 // through a (time, sequence) sort, so the pop order is exactly a stable
 // sort of the schedule by time — the contract sim_property_test checks
-// against a binary-heap oracle.
-//
-// The queue is optionally *sharded*: set_shard_count(P) partitions the
-// pending set into P independent stores, and schedule_on(shard, ...) places
-// an event in a specific partition (the sharded engine routes each peer's
-// delivery events to that peer's shard).  Sequence numbers stay GLOBAL
-// across shards, and the pop side merges the shard heads by
-// (time, sequence) — so the execution order is exactly the order a single
-// unsharded queue would produce, no matter how events are distributed.
-// That merge rule is what keeps sharded runs bit-identical to sequential
-// ones; the shard dimension only buys smaller stores (cheaper push/pop at
-// scale) and a per-peer-partitioned pending set.
+// against a binary-heap oracle.  Every event of a run, whatever the
+// engine's parallel_shards, lives in this one store and one sequence
+// domain; parallelism batches over the pop order, it never partitions it.
 //
 // Two kinds of entry share the one sequence domain (so their mutual
 // ordering at a timestamp is still insertion order):
@@ -86,31 +77,21 @@ class EventSink {
 
 class EventQueue {
  public:
-  /// One shard whose wheel is quantized at `quantum` seconds (> 0).  Any
+  /// A queue whose wheel is quantized at `quantum` seconds (> 0).  Any
   /// quantum gives the same pop order; it only sets the bucket width, so
   /// it should match the cadence of the dominant re-arming events.
-  explicit EventQueue(double quantum = 1.0) : wheels_(1, TimingWheel(quantum)) {}
+  explicit EventQueue(double quantum = 1.0) : wheel_(quantum) {}
 
-  /// Partitions the pending set into `shards` independent stores (>= 1).
-  /// Must be called while the queue is empty — pending events are never
-  /// rehomed (rejected loudly; silently redistributing them would move
-  /// entries between schedule_on targets).  Pop order is unaffected (global
-  /// (time, sequence) merge); only schedule_on targets change meaning.
-  void set_shard_count(std::size_t shards);
-  [[nodiscard]] std::size_t shard_count() const noexcept { return wheels_.size(); }
+  /// Wheel-plane telemetry: entries scheduled, entries promoted from the
+  /// overflow wheel / spill heap into finer levels, and the spill heap's
+  /// peak occupancy.
+  using WheelTelemetry = TimingWheel::Telemetry;
+  [[nodiscard]] const WheelTelemetry& wheel_telemetry() const noexcept {
+    return wheel_.telemetry();
+  }
 
-  /// Wheel-plane telemetry aggregated over the shards: entries scheduled,
-  /// entries promoted from the overflow wheel / spill heap into finer
-  /// levels, and the spill heap's peak occupancy (max across shards).
-  struct WheelTelemetry {
-    std::uint64_t scheduled = 0;
-    std::uint64_t overflow_promotions = 0;
-    std::uint64_t spill_peak = 0;
-  };
-  [[nodiscard]] WheelTelemetry wheel_telemetry() const noexcept;
-
-  /// Heap bytes the queue retains, split by plane: the per-shard timing
-  /// wheels (buckets, spares, side and spill heaps) and the closure slab
+  /// Heap bytes the queue retains, split by plane: the timing wheel
+  /// (buckets, spares, side and spill heaps) and the closure slab
   /// (action slots, their free list and the cancellation set).  Captures a
   /// std::function keeps on the heap are not visible here.
   struct MemoryBytes {
@@ -119,21 +100,16 @@ class EventQueue {
   };
   [[nodiscard]] MemoryBytes memory_bytes() const noexcept;
 
-  /// Schedules `action` at absolute time `at` on shard 0.  Returns an id
+  /// Schedules `action` at absolute time `at`.  Returns an id
   /// usable with cancel().  `at` may equal the current head time; ties fire
   /// in scheduling order.
   EventId schedule(Time at, std::function<void()> action);
 
-  /// Schedules a pooled plain-struct event on shard 0: at time `at`, calls
+  /// Schedules a pooled plain-struct event: at time `at`, calls
   /// `sink.on_event(a, b)`.  Same ordering domain and cancellation rules as
   /// the closure overload, but the entry carries the payload inline, so
   /// this never allocates.  `sink` must outlive the event.
   EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b);
-
-  /// schedule() variants targeting a specific shard's store.
-  EventId schedule_on(std::size_t shard, Time at, std::function<void()> action);
-  EventId schedule_on(std::size_t shard, Time at, EventSink& sink, std::uint64_t a,
-                      std::uint64_t b);
 
   /// Cancels a pending event.  Returns false if the event already fired,
   /// was already cancelled, or never existed.
@@ -145,11 +121,9 @@ class EventQueue {
   /// Time of the earliest pending event; requires !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Pops and runs the earliest pending event (the (time, sequence) min
-  /// across every shard head); requires !empty().  Returns the time of the
-  /// event that ran; `shard_out`, when non-null, receives the shard it was
-  /// popped from.
-  Time pop_and_run(std::size_t* shard_out = nullptr);
+  /// Pops and runs the earliest pending event (the (time, sequence) min);
+  /// requires !empty().  Returns the time of the event that ran.
+  Time pop_and_run();
 
   /// True when the next entry to pop is a pooled event whose sink opted
   /// into batched pops; requires !empty().
@@ -157,7 +131,7 @@ class EventQueue {
 
   /// Pops the maximal batchable run at the head of the queue WITHOUT
   /// running it: starting from the current head (which must satisfy
-  /// top_is_batchable()), consecutive global-order heads are drained into
+  /// top_is_batchable()), consecutive heads are drained into
   /// `out` while they are pooled entries of the same sink, fire no later
   /// than `limit`, and — unless the sink batches across times — share the
   /// first entry's timestamp.  Returns the number of entries popped (>= 1)
@@ -172,30 +146,23 @@ class EventQueue {
 
  private:
   using Entry = QueueEntry;
-  using Later = QueueEntryLater;
 
-  EventId push_entry(std::size_t shard, Entry entry);
-  /// Removes cancelled entries sitting at `shard`'s head (a dropped
-  /// closure's slab slot is released with it).
-  void skip_cancelled(std::size_t shard);
+  EventId push_entry(Entry entry);
+  /// The earliest live entry; requires !empty().  Drops cancelled entries
+  /// sitting at the head first (a dropped closure's slab slot is released
+  /// with it).
+  [[nodiscard]] const Entry& head();
   /// Closure slab: stores `action` in a free slot and returns its index.
   [[nodiscard]] std::uint64_t park_action(std::function<void()> action);
   /// Moves the action out of `slot` and frees the slot, so the action may
   /// schedule further closures (reusing the slot) while it runs.
   [[nodiscard]] std::function<void()> take_action(std::uint64_t slot);
-  /// Shard holding the globally earliest live entry; requires !empty().
-  /// Drops cancelled heads as a side effect and caches the winner so the
-  /// usual next_time() + pop_and_run() pair scans the shard heads once.
-  [[nodiscard]] std::size_t top_shard();
-
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
   /// pop_batch scratch bound: correctness never depends on where a run is
   /// cut (the remainder simply forms the next batch), so this only caps
   /// the caller's scratch memory.
   static constexpr std::size_t kMaxBatch = 4096;
 
-  /// One timing wheel per shard (the unsharded queue is the 1-shard case).
-  std::vector<TimingWheel> wheels_;
+  TimingWheel wheel_;
   /// Closure slab indexed by a closure entry's payload word `a`; freed
   /// slots (empty functions) are listed in free_actions_ for reuse.
   std::vector<std::function<void()>> actions_;
@@ -203,8 +170,6 @@ class EventQueue {
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
-  /// top_shard() memo; kNoShard whenever the stores may have changed.
-  std::size_t cached_top_ = kNoShard;
 };
 
 }  // namespace gs::sim

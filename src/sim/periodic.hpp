@@ -33,7 +33,6 @@ class PeriodicTask {
   void cancel();
 
   [[nodiscard]] bool active() const noexcept { return state_ && state_->active; }
-  [[nodiscard]] Time period() const noexcept { return period_; }
 
  private:
   struct State {

@@ -8,8 +8,7 @@
 namespace gs::sim {
 
 TimingWheel::TimingWheel(double quantum)
-    : quantum_(quantum),
-      inv_quantum_(1.0 / quantum),
+    : inv_quantum_(1.0 / quantum),
       near_(static_cast<std::size_t>(kNearSlots)),
       coarse_(static_cast<std::size_t>(kCoarseSlots)) {
   GS_CHECK_GT(quantum, 0.0);

@@ -80,7 +80,8 @@ struct QueueEntryLater {
   }
 };
 
-/// One shard's wheel.  Not thread-safe (the queue is driven by one thread).
+/// The event queue's store.  Not thread-safe (the queue is driven by one
+/// thread).
 class TimingWheel {
  public:
   struct Telemetry {
@@ -90,9 +91,6 @@ class TimingWheel {
   };
 
   explicit TimingWheel(double quantum = 1.0);
-
-  /// Bucket width in seconds.
-  [[nodiscard]] double quantum() const noexcept { return quantum_; }
 
   void push(QueueEntry entry);
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -174,7 +172,6 @@ class TimingWheel {
   /// front head exists and fires before the side head.
   [[nodiscard]] bool front_is_next() const noexcept;
 
-  double quantum_;
   double inv_quantum_;
   /// Cursor anchors lazily at the first push (times may start anywhere,
   /// including negative warm-up).

@@ -23,7 +23,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
                                    std::max(1u, std::thread::hardware_concurrency()))),
       // Timing-wheel event plane quantized at the tick cadence: gossip
       // sweeps land on bucket boundaries and deliveries fill the
-      // current-period bucket, so schedule_on is a bucket append and pops
+      // current-period bucket, so a schedule is a bucket append and pops
       // walk pre-sorted buckets.
       sim_(-config_.warmup, config_.tau),
       overhead_(config_.wire),
@@ -37,40 +37,30 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   GS_CHECK(strategy != nullptr);
   strategies_.push_back(std::move(strategy));
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
-  if (config_.parallel_shards > 0) {
-    // Every pop scans the shard heads, so queue shards beyond a few dozen
-    // only add scan cost.  The clamp is a fixed constant (not hardware-
-    // dependent) — routing never affects results, but keeping the layout
-    // machine-independent keeps the cross_shard_events diagnostic portable.
+  // The delivery wave: consecutive delivery events pop as one batch and
+  // drain through the book/tail/merge pipeline; same-timestamp tick sweeps
+  // super-batch through BatchTicker::on_batch.  Fresh-segment push reads
+  // neighbour buffers and schedules transfers per delivery, which only the
+  // inline pop order reproduces — the wave stands down.
+  if (config_.parallel_shards > 0 && !config_.push_fresh_segments) {
+    // The wave partitions peers by id % shards with one delta journal per
+    // (source, target) partition pair, so journal rows grow with shards^2
+    // while the lanes stop at the core count: beyond a few dozen
+    // partitions only the merge walk grows.  The clamp is a fixed constant,
+    // not the core count, so the partition layout is the same on every
+    // machine (results never depend on it).
     const std::size_t shards = std::min<std::size_t>(config_.parallel_shards, 64);
-    // Shard 0 is the control queue (ticks, generation, churn, switches);
-    // each peer's deliveries live on queue 1 + id % P.  The queue merges
-    // heads by (time, global sequence), so routing never changes execution
-    // order — only heap sizes and the cross-shard traffic diagnostic.
-    sim_.enable_shards(1 + shards, [this, shards](const sim::EventSink& sink, std::uint64_t a,
-                                                  std::uint64_t /*b*/) -> std::size_t {
-      if (&sink == &transfers_) return 1 + static_cast<std::size_t>(a) % shards;
-      return 0;
+    data_shards_ = shards;
+    delta_journals_.resize(shards * shards);
+    shard_entries_.resize(shards);
+    dirty_views_.resize(shards);
+    lane_merges_.assign(shards, 0);
+    book_events_.resize(shards);
+    book_current_item_.assign(shards, 0);
+    transfers_.set_delivery_batch([this](const sim::PooledBatchItem* items, std::size_t count) {
+      on_delivery_batch(items, count);
     });
-    // The delivery wave: consecutive delivery events pop as one batch and
-    // drain through the book/tail/merge pipeline; same-timestamp tick
-    // sweeps super-batch through BatchTicker::on_batch.  Fresh-segment push
-    // reads neighbour buffers and schedules transfers per delivery, which
-    // only the inline pop order reproduces — the wave stands down.
-    if (!config_.push_fresh_segments) {
-      data_shards_ = shards;
-      delta_journals_.resize(shards * shards);
-      shard_entries_.resize(shards);
-      dirty_views_.resize(shards);
-      lane_merges_.assign(shards, 0);
-      book_events_.resize(shards);
-      book_current_item_.assign(shards, 0);
-      transfers_.set_delivery_batch(
-          [this](const sim::PooledBatchItem* items, std::size_t count) {
-            on_delivery_batch(items, count);
-          });
-      sim_.enable_batch_pop(true);
-    }
+    sim_.enable_batch_pop(true);
   }
   // One bump arena per plan lane (lane 0 is the caller, so at least one):
   // the sweep's candidate supplier lists never fall back to the heap (the
@@ -82,9 +72,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
-    // the plane's own state; its (non-batchable) delivery events route to
-    // the control shard, popped in the global (time, sequence) order like
-    // every other event.
+    // the plane's own state; its (non-batchable) delivery events pop in
+    // the queue's (time, sequence) order like every other event.
     CdnAssistConfig cdn_config;
     cdn_config.rate = config_.cdn_assist_rate;
     cdn_config.latency_ms = config_.cdn_assist_latency_ms;

@@ -135,11 +135,11 @@ struct EngineConfig {
   ///          counters so event sequence numbers match a sequential commit.
   /// A one-member wave is exactly the sequential pre → plan → commit → CDN
   /// order: there is nothing to overlap, and no plan can go stale.
-  /// P >= 1 also splits the pending-event set into per-shard queues
-  /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)), and unless push_fresh_segments is on, consecutive
-  /// delivery events pop as one batch (Simulator::enable_batch_pop) and
-  /// drain as a delivery wave: a parallel per-target-shard book phase
+  /// Every event stays in the simulator's one (time, sequence)-ordered
+  /// queue at any P.  P >= 1 also sets the delivery wave, unless
+  /// push_fresh_segments is on: consecutive delivery events pop as one
+  /// batch (Simulator::enable_batch_pop), are partitioned by target peer
+  /// id % min(P, 64), and drain as a wave: a parallel per-partition book phase
   /// (buffer marks, playback, per-peer flags, availability and boundary
   /// deltas journalled per lane), a sequential tail replaying metric pushes
   /// and wire counters in pop order, and a parallel per-owner merge of the
@@ -269,8 +269,9 @@ struct EngineStats {
   std::uint64_t parallel_sweeps = 0;
   std::uint64_t planned_ticks = 0;
   std::uint64_t replanned_ticks = 0;
-  /// Events routed into a foreign shard's queue (cross-shard outbox
-  /// traffic; see Simulator::cross_shard_scheduled).
+  /// Always 0: the event queue is one store, so no event crosses into
+  /// another partition's queue.  Kept only because the repository
+  /// benchmark (switchbench) still reports it; goes with its next change.
   std::uint64_t cross_shard_events = 0;
   /// Delivery-wave diagnostics (parallel_shards > 0 without push):
   /// multi-event delivery runs drained through
@@ -301,10 +302,9 @@ struct EngineStats {
   std::uint64_t arena_chunks = 0;
   std::uint64_t arena_warm_chunks = 0;
   std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane: events scheduled through the wheels,
+  /// Timing-wheel event plane: events scheduled through the wheel,
   /// entries promoted from the overflow wheel / spill heap into finer
-  /// levels as the horizon advanced, and the spill heap's peak occupancy
-  /// (max across shards).
+  /// levels as the horizon advanced, and the spill heap's peak occupancy.
   std::uint64_t events_wheeled = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
@@ -335,7 +335,7 @@ struct EngineStats {
   std::uint64_t peak_rss_bytes = 0;
   /// Per-plane memory ledger, heap bytes retained at the end of run():
   /// the SoA peer pool (already inside peer_state_bytes), the event plane's
-  /// timing wheels (buckets, spares, side and spill heaps) and closure slab
+  /// timing wheel (buckets, spares, side and spill heaps) and closure slab
   /// (action slots, free list, cancellation set, batch scratch), the
   /// availability views, the transfer plane (uplink FIFOs + capacity
   /// model), the overlay (graph, latency table, membership live set) and

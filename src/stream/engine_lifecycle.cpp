@@ -351,7 +351,6 @@ std::vector<SwitchMetrics> Engine::run() {
       config_.horizon;
   stats_.events_popped = sim_.run_until(stop_at);
   stats_.index_updates = availability_.updates_applied();
-  stats_.cross_shard_events = sim_.cross_shard_scheduled();
   stats_.superbatch_sweeps = ticker_ ? ticker_->superbatch_count() : 0;
   // Lane-arena telemetry: total chunk allocations ever, the total frozen
   // when the adaptive fence armed (0 = never armed), and those past the

@@ -187,9 +187,6 @@ struct PeerNode {
   std::size_t idx_ = 0;
 };
 
-/// Historical name, kept for call sites that predate the decomposition.
-using Peer = PeerNode;
-
 /// First id >= `from` that is clear in `bits` (ids beyond the bitset's size
 /// are implicitly clear).
 [[nodiscard]] SegmentId next_missing(const util::DynamicBitset& bits, SegmentId from);

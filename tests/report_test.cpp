@@ -102,6 +102,26 @@ TEST(Report, NoPreparedPeerPrintsNotApplicableNotZero) {
   EXPECT_NE(out.find("2/900 (0.002)"), std::string::npos) << out;
 }
 
+TEST(Report, UnpreparedSizesAreNamedAndFailTheSweep) {
+  ComparisonPoint unprepared = make_point(300);
+  unprepared.fast_prepared = 0;
+  unprepared.normal_prepared = 2;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(report_unprepared("prog", {make_point(100), unprepared, make_point(500)}), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("prog: no tracked peer prepared S2 at 300 nodes (normal 2/900, fast "
+                     "0/900); its switch time and reduction are n/a"),
+            std::string::npos)
+      << err;
+  // Only the failing size is named.
+  EXPECT_EQ(err.find(" at 100 nodes"), std::string::npos) << err;
+  EXPECT_EQ(err.find(" at 500 nodes"), std::string::npos) << err;
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(report_unprepared("prog", {make_point(100), make_point(500)}), 0);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Report, OverheadPrintsBothColumns) {
   ::testing::internal::CaptureStdout();
   print_overhead("t", {make_point(500)});

@@ -5,7 +5,7 @@
 // rests on: events pop in (time, insertion-sequence) order — a stable sort
 // of the schedule — no matter how insertions, ties, cancellations and the
 // two entry kinds (closure / pooled plain-struct) interleave, and the
-// timing wheels behind the queue must pop exactly what a plain binary heap
+// timing wheel behind the queue must pop exactly what a plain binary heap
 // (the test-local oracle below) pops.  BatchTicker must additionally
 // reproduce, event for event, the schedule an equivalent set of per-member
 // PeriodicTasks would produce.
@@ -15,7 +15,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -138,50 +137,6 @@ TEST(EventQueueProperty, PooledEventsCancelLikeClosures) {
 
 /// One (time, member) observation per tick, whichever dispatcher fired it.
 using Observation = std::pair<Time, std::uint32_t>;
-
-TEST(EventQueueProperty, ShardedPopOrderEqualsUnshardedOrder) {
-  // The sharded core's merge contract: however events are distributed over
-  // shard heaps, the pop sequence must equal the single-queue (time,
-  // insertion-sequence) order.  Random times (with forced ties), random
-  // shard targets, random cancellations — mirrored into an unsharded
-  // reference queue.
-  util::Rng rng(4242);
-  for (int round = 0; round < 20; ++round) {
-    EventQueue sharded;
-    sharded.set_shard_count(1 + static_cast<std::size_t>(rng.uniform_int(1, 6)));
-    EventQueue reference;
-    std::vector<int> sharded_fired;
-    std::vector<int> reference_fired;
-    std::vector<EventId> sharded_ids;
-    std::vector<EventId> reference_ids;
-    for (int tag = 0; tag < 200; ++tag) {
-      const Time at = std::floor(rng.uniform(0.0, 20.0));  // dense ties
-      const auto shard =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(sharded.shard_count()) - 1));
-      sharded_ids.push_back(sharded.schedule_on(shard, at, [tag, &sharded_fired] {
-        sharded_fired.push_back(tag);
-      }));
-      reference_ids.push_back(reference.schedule(at, [tag, &reference_fired] {
-        reference_fired.push_back(tag);
-      }));
-    }
-    for (int k = 0; k < 30; ++k) {
-      const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 199));
-      EXPECT_EQ(sharded.cancel(sharded_ids[victim]), reference.cancel(reference_ids[victim]));
-    }
-    EXPECT_EQ(sharded.size(), reference.size());
-    while (!reference.empty()) {
-      ASSERT_FALSE(sharded.empty());
-      EXPECT_EQ(sharded.next_time(), reference.next_time());
-      std::size_t from_shard = 99;
-      sharded.pop_and_run(&from_shard);
-      EXPECT_LT(from_shard, sharded.shard_count());
-      reference.pop_and_run();
-    }
-    EXPECT_TRUE(sharded.empty());
-    EXPECT_EQ(sharded_fired, reference_fired) << "shard layout changed execution order";
-  }
-}
 
 TEST(BatchTickerProperty, SweepsMembersInArmOrderRegardlessOfInsertionInterleaving) {
   util::Rng rng(11);
@@ -577,56 +532,14 @@ TEST(TimingWheelProperty, MixedWorkloadPopsIdenticallyToHeapOracle) {
   }
 }
 
-TEST(TimingWheelProperty, ShardedWheelsMatchHeapOracle) {
-  // Cross-shard routing on wheel shards: the merged pop sequence must equal
-  // the oracle's single-heap order, and every pop must drain the shard its
-  // entry was scheduled on.
-  util::Rng rng(90210);
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t shards = 1 + static_cast<std::size_t>(rng.uniform_int(1, 6));
-    const double quantum = round % 2 == 0 ? 0.5 : 3.0;
-    HeapOracle heap;
-    EventQueue wheel(quantum);
-    wheel.set_shard_count(shards);
-    std::vector<int> heap_fired;
-    std::vector<int> wheel_fired;
-    std::vector<EventId> heap_ids;
-    std::vector<EventId> wheel_ids;
-    std::map<int, std::size_t> shard_of;
-    for (int tag = 0; tag < 200; ++tag) {
-      // Dense ties (some negative) plus a far-horizon tail that lands in
-      // the spill heap.
-      const Time at = rng.bernoulli(0.8) ? std::floor(rng.uniform(-4.0, 20.0))
-                                         : std::floor(rng.uniform(0.0, 30000.0));
-      const auto shard = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
-      shard_of[tag] = shard;
-      heap_ids.push_back(heap.schedule(at, [tag, &heap_fired] { heap_fired.push_back(tag); }));
-      wheel_ids.push_back(
-          wheel.schedule_on(shard, at, [tag, &wheel_fired] { wheel_fired.push_back(tag); }));
-    }
-    for (int k = 0; k < 30; ++k) {
-      const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 199));
-      EXPECT_EQ(heap.cancel(heap_ids[victim]), wheel.cancel(wheel_ids[victim]));
-    }
-    while (!heap.empty()) {
-      ASSERT_FALSE(wheel.empty());
-      EXPECT_EQ(heap.next_time(), wheel.next_time());
-      std::size_t wheel_shard = 99;
-      heap.pop_and_run();
-      wheel.pop_and_run(&wheel_shard);
-      EXPECT_EQ(wheel_shard, shard_of[wheel_fired.back()]) << "pop drained a foreign shard";
-    }
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_EQ(heap_fired, wheel_fired) << "round " << round;
-  }
-}
-
 TEST(TimingWheelProperty, BatchedPopsMatchHeapOracleRuns) {
-  // pop_batch over the wheels: every item must arrive in the oracle's pop
+  // pop_batch over the wheel: every item must arrive in the oracle's pop
   // order, and the batches must be exactly the oracle order's maximal runs
   // of consecutive pooled entries (the sink batches across times; nothing
-  // is scheduled while a batch drains).
+  // is scheduled while a batch drains).  Random cancellations put dead
+  // entries inside and at the head of those runs.
+  constexpr std::uint32_t kEvents = 140;
+  constexpr std::uint32_t kCancels = 20;
   for (const double quantum : {0.25, 1.0, 3.0}) {
     for (int trial = 0; trial < 12; ++trial) {
       const auto seed = static_cast<std::uint64_t>(trial) * 31 + 5;
@@ -636,15 +549,20 @@ TEST(TimingWheelProperty, BatchedPopsMatchHeapOracleRuns) {
         HeapOracle heap;
         util::Rng gen(seed);
         bool last_pooled = false;
-        for (std::uint32_t tag = 0; tag < 140; ++tag) {
+        std::vector<EventId> ids;
+        for (std::uint32_t tag = 0; tag < kEvents; ++tag) {
           const Time at = std::floor(gen.uniform(-2.0, 12.0));  // dense ties
           const bool pooled = gen.bernoulli(0.7);
           const std::uint32_t label = pooled ? tag : 100000 + tag;
-          heap.schedule(at, [&expected, &expected_runs, &last_pooled, at, label, pooled] {
-            expected.emplace_back(at, label);
-            if (pooled && !last_pooled) ++expected_runs;
-            last_pooled = pooled;
-          });
+          ids.push_back(
+              heap.schedule(at, [&expected, &expected_runs, &last_pooled, at, label, pooled] {
+                expected.emplace_back(at, label);
+                if (pooled && !last_pooled) ++expected_runs;
+                last_pooled = pooled;
+              }));
+        }
+        for (std::uint32_t k = 0; k < kCancels; ++k) {
+          heap.cancel(ids[static_cast<std::size_t>(gen.uniform_int(0, kEvents - 1))]);
         }
         while (!heap.empty()) heap.pop_and_run();
       }
@@ -655,15 +573,24 @@ TEST(TimingWheelProperty, BatchedPopsMatchHeapOracleRuns) {
       sink.fired = &observed;
       sink.sim = &sim;
       util::Rng gen(seed);
-      for (std::uint32_t tag = 0; tag < 140; ++tag) {
+      std::vector<EventId> ids;
+      for (std::uint32_t tag = 0; tag < kEvents; ++tag) {
         const Time at = std::floor(gen.uniform(-2.0, 12.0));
         if (gen.bernoulli(0.7)) {
-          sim.at(at, sink, tag, 0);
+          ids.push_back(sim.at(at, sink, tag, 0));
         } else {
-          sim.at(at, [&observed, tag, &sim] { observed.emplace_back(sim.now(), 100000 + tag); });
+          ids.push_back(sim.at(
+              at, [&observed, tag, &sim] { observed.emplace_back(sim.now(), 100000 + tag); }));
         }
       }
-      EXPECT_EQ(sim.run_until(20.0), 140u);
+      std::size_t cancelled = 0;
+      for (std::uint32_t k = 0; k < kCancels; ++k) {
+        if (sim.cancel(ids[static_cast<std::size_t>(gen.uniform_int(0, kEvents - 1))])) {
+          ++cancelled;
+        }
+      }
+      EXPECT_GT(cancelled, 0u);
+      EXPECT_EQ(sim.run_until(20.0), kEvents - cancelled);
       EXPECT_EQ(observed, expected) << "quantum " << quantum << " trial " << trial;
       EXPECT_EQ(sink.batches, expected_runs) << "quantum " << quantum << " trial " << trial;
       EXPECT_GT(sink.batches, 0u);
@@ -693,15 +620,6 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
       << "50000s horizon never promoted out of the overflow levels";
   EXPECT_GT(telemetry.spill_peak, 0u)
       << "50000s horizon never reached the spill heap (near+coarse cover ~16384s)";
-}
-
-TEST(EventQueueDeathTest, ShardLayoutChangeWithPendingEventsAborts) {
-  // set_shard_count while events are pending would scramble the shard
-  // residency of queued entries; it must fail loudly, not rehome silently.
-  EventQueue queue;
-  queue.schedule(1.0, [] {});
-  EXPECT_DEATH(queue.set_shard_count(4),
-               "shard layout may only change while the queue is empty");
 }
 
 TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {
